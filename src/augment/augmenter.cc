@@ -1,5 +1,7 @@
 #include "augment/augmenter.h"
 
+#include <utility>
+
 #include "core/trace.h"
 
 namespace tsaug::augment {
@@ -103,28 +105,51 @@ core::StatusOr<std::vector<core::TimeSeries>> TransformAugmenter::DoGenerate(
   return out;
 }
 
-core::StatusOr<core::Dataset> TryBalanceWithAugmenter(
-    const core::Dataset& train, Augmenter& augmenter, core::Rng& rng) {
-  TSAUG_CHECK(!train.empty());
-  const std::vector<int> counts = train.ClassCounts();
-  const int majority = counts[static_cast<size_t>(train.MajorityClass())];
+namespace {
+
+/// Appends `count` synthetic series of each requested class to a copy of
+/// `train`. The augmenter first fits whatever per-class state all the
+/// requests need (Prefit), then generation runs serially in request order
+/// on the caller's `rng`. `what` names the protocol in error contexts.
+core::StatusOr<core::Dataset> AugmentClasses(
+    const core::Dataset& train, Augmenter& augmenter,
+    const std::vector<std::pair<int, int>>& requests, core::Rng& rng,
+    const std::string& what) {
+  std::vector<int> labels;
+  labels.reserve(requests.size());
+  for (const auto& [label, count] : requests) labels.push_back(label);
+  augmenter.Prefit(train, labels);
 
   core::Dataset augmented = train;
-  for (int label = 0; label < train.num_classes(); ++label) {
-    if (counts[static_cast<size_t>(label)] == 0) continue;  // label space may have gaps
-    const int deficit = majority - counts[static_cast<size_t>(label)];
-    if (deficit <= 0) continue;
+  for (const auto& [label, count] : requests) {
     core::StatusOr<std::vector<core::TimeSeries>> generated =
-        augmenter.TryGenerate(train, label, deficit, rng);
+        augmenter.TryGenerate(train, label, count, rng);
     if (!generated.ok()) {
       core::Status status = generated.status();
-      return status.AddContext("balance(" + augmenter.name() + ")");
+      return status.AddContext(what + "(" + augmenter.name() + ")");
     }
     for (core::TimeSeries& series : *generated) {
       augmented.Add(std::move(series), label);
     }
   }
   return augmented;
+}
+
+}  // namespace
+
+core::StatusOr<core::Dataset> TryBalanceWithAugmenter(
+    const core::Dataset& train, Augmenter& augmenter, core::Rng& rng) {
+  TSAUG_CHECK(!train.empty());
+  const std::vector<int> counts = train.ClassCounts();
+  const int majority = counts[static_cast<size_t>(train.MajorityClass())];
+
+  std::vector<std::pair<int, int>> requests;
+  for (int label = 0; label < train.num_classes(); ++label) {
+    if (counts[static_cast<size_t>(label)] == 0) continue;  // label space may have gaps
+    const int deficit = majority - counts[static_cast<size_t>(label)];
+    if (deficit > 0) requests.emplace_back(label, deficit);
+  }
+  return AugmentClasses(train, augmenter, requests, rng, "balance");
 }
 
 core::Dataset BalanceWithAugmenter(const core::Dataset& train,
@@ -140,22 +165,13 @@ core::StatusOr<core::Dataset> TryExpandWithAugmenter(
     core::Rng& rng) {
   TSAUG_CHECK(factor >= 0.0);
   const std::vector<int> counts = train.ClassCounts();
-  core::Dataset augmented = train;
+  std::vector<std::pair<int, int>> requests;
   for (int label = 0; label < train.num_classes(); ++label) {
     if (counts[static_cast<size_t>(label)] == 0) continue;
     const int extra = static_cast<int>(counts[static_cast<size_t>(label)] * factor + 0.5);
-    if (extra <= 0) continue;
-    core::StatusOr<std::vector<core::TimeSeries>> generated =
-        augmenter.TryGenerate(train, label, extra, rng);
-    if (!generated.ok()) {
-      core::Status status = generated.status();
-      return status.AddContext("expand(" + augmenter.name() + ")");
-    }
-    for (core::TimeSeries& series : *generated) {
-      augmented.Add(std::move(series), label);
-    }
+    if (extra > 0) requests.emplace_back(label, extra);
   }
-  return augmented;
+  return AugmentClasses(train, augmenter, requests, rng, "expand");
 }
 
 core::Dataset ExpandWithAugmenter(const core::Dataset& train,

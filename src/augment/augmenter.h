@@ -58,6 +58,15 @@ class Augmenter {
                                          int label, int count,
                                          core::Rng& rng);
 
+  /// Announces the classes (distinct, ascending, each with members) the
+  /// next TryGenerate calls on `train` will request, so an augmenter that
+  /// fits per-class models can fit them all at once, concurrently, before
+  /// the caller's serial generation loop.
+  /// Must not touch the caller's Rng or change what TryGenerate returns:
+  /// it only moves work earlier. Default: no-op.
+  virtual void Prefit(const core::Dataset& /*train*/,
+                      const std::vector<int>& /*labels*/) {}
+
   /// Drops any state fitted to a previous training set (generative
   /// augmenters cache per-class models). Default: stateless no-op.
   virtual void Invalidate() {}

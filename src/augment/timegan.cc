@@ -363,42 +363,34 @@ std::vector<core::TimeSeries> TimeGan::Sample(int count, core::Rng& rng) {
 
 TimeGanAugmenter::TimeGanAugmenter(TimeGanConfig config,
                                    std::unique_ptr<Augmenter> fallback)
-    : config_(std::move(config)), fallback_(std::move(fallback)) {}
+    : models_(config.seed,
+              [config](const core::Dataset& train,
+                       const std::vector<int>& members, std::uint64_t seed)
+                  -> core::StatusOr<std::unique_ptr<TimeGan>> {
+                std::vector<core::TimeSeries> class_series;
+                class_series.reserve(members.size());
+                for (int i : members) class_series.push_back(train.series(i));
+                TimeGanConfig class_config = config;
+                class_config.seed = seed;
+                auto model = std::make_unique<TimeGan>(class_config);
+                TSAUG_RETURN_IF_ERROR(model->TryFit(class_series));
+                return model;
+              }),
+      fallback_(std::move(fallback)) {}
+
+void TimeGanAugmenter::Prefit(const core::Dataset& train,
+                              const std::vector<int>& labels) {
+  models_.Prefit("augment." + name() + ".prefit", train, labels);
+}
 
 core::StatusOr<std::vector<core::TimeSeries>> TimeGanAugmenter::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
-  const std::vector<std::vector<int>> by_class = train.IndicesByClass();
-  TSAUG_CHECK(label >= 0 && label < static_cast<int>(by_class.size()));
-  const std::vector<int>& members = by_class[static_cast<size_t>(label)];
-  if (members.empty()) {
-    return core::DegenerateInputError("timegan: class " +
-                                      std::to_string(label) +
-                                      " has no instances");
-  }
-
-  // A class whose GAN already failed to train goes straight to the
-  // fallback (or re-reports its Status) instead of retraining every call.
-  auto failed = failed_labels_.find(label);
-  auto it = models_.find(label);
-  if (it == models_.end() && failed == failed_labels_.end()) {
-    // Train this class's GAN on its members (the paper: "we provide to the
-    // timeGANs, for each training, time series coming from a single class").
-    std::vector<core::TimeSeries> class_series;
-    class_series.reserve(members.size());
-    for (int i : members) class_series.push_back(train.series(i));
-    TimeGanConfig config = config_;
-    config.seed = config_.seed ^ (0x5eedull + static_cast<unsigned long long>(label) * 1000003ull);
-    auto model = std::make_unique<TimeGan>(config);
-    core::Status status = model->TryFit(class_series);
-    if (status.ok()) {
-      it = models_.emplace(label, std::move(model)).first;
-    } else {
-      failed = failed_labels_.emplace(label, std::move(status)).first;
-    }
-  }
-  if (failed != failed_labels_.end()) {
+  // A class whose GAN failed to train goes straight to the fallback (or
+  // re-reports its Status) instead of retraining every call.
+  core::StatusOr<TimeGan*> model = models_.Get(train, label);
+  if (!model.ok()) {
     if (fallback_ == nullptr) {
-      core::Status status = failed->second;
+      core::Status status = model.status();
       return status.AddContext("timegan (no fallback)");
     }
     core::trace::AddCount("timegan.fallback");
@@ -411,7 +403,7 @@ core::StatusOr<std::vector<core::TimeSeries>> TimeGanAugmenter::DoGenerate(
     return degraded;
   }
 
-  std::vector<core::TimeSeries> samples = it->second->Sample(count, rng);
+  std::vector<core::TimeSeries> samples = (*model)->Sample(count, rng);
   // GAN training may have shortened sequences; resample to dataset length.
   const int target_length = train.max_length();
   for (core::TimeSeries& s : samples) {

@@ -1,11 +1,11 @@
 #ifndef TSAUG_AUGMENT_TIMEGAN_H_
 #define TSAUG_AUGMENT_TIMEGAN_H_
 
-#include <map>
 #include <memory>
 #include <string>
 
 #include "augment/augmenter.h"
+#include "augment/class_models.h"
 #include "nn/layers.h"
 
 namespace tsaug::augment {
@@ -106,7 +106,9 @@ class TimeGan {
 };
 
 /// The taxonomy's generative/neural augmenter: one TimeGAN per class,
-/// trained lazily on first use and cached across Generate() calls.
+/// cached across Generate() calls. Prefit() trains the requested classes'
+/// GANs concurrently on the thread pool; a class not prefitted is trained
+/// lazily on first use (see ClassModelCache).
 ///
 /// When a fallback augmenter is configured, a class whose GAN training
 /// diverges degrades gracefully: the fallback generates that class's
@@ -126,18 +128,19 @@ class TimeGanAugmenter : public Augmenter {
       const core::Dataset& train, int label, int count,
       core::Rng& rng) override;
 
+  void Prefit(const core::Dataset& train,
+              const std::vector<int>& labels) override;
+
   /// Drops the per-class model cache (call when switching datasets).
   void Invalidate() override {
-    models_.clear();
-    failed_labels_.clear();
+    models_.Clear();
     if (fallback_ != nullptr) fallback_->Invalidate();
   }
 
  private:
-  TimeGanConfig config_;
-  std::map<int, std::unique_ptr<TimeGan>> models_;
-  /// Classes whose GAN training diverged; served by fallback_ from then on.
-  std::map<int, core::Status> failed_labels_;
+  /// Fitted GANs, and the classes whose training failed (served by
+  /// fallback_ from then on).
+  ClassModelCache<TimeGan> models_;
   std::unique_ptr<Augmenter> fallback_;
 };
 

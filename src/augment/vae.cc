@@ -128,39 +128,43 @@ std::vector<std::vector<double>> Vae::Sample(int count, core::Rng& rng) {
   return out;
 }
 
-VaeAugmenter::VaeAugmenter(VaeConfig config) : config_(std::move(config)) {}
+VaeAugmenter::VaeAugmenter(VaeConfig config)
+    : models_(config.seed,
+              [config](const core::Dataset& train,
+                       const std::vector<int>& members, std::uint64_t seed)
+                  -> core::StatusOr<std::unique_ptr<Vae>> {
+                const int length = train.max_length();
+                std::vector<std::vector<double>> instances;
+                instances.reserve(members.size());
+                for (int i : members) {
+                  core::TimeSeries s = core::ImputeLinear(train.series(i));
+                  if (s.length() != length) {
+                    s = core::ResampleToLength(s, length);
+                  }
+                  instances.push_back(s.Flatten());
+                }
+                VaeConfig class_config = config;
+                class_config.seed = seed;
+                auto model = std::make_unique<Vae>(class_config);
+                TSAUG_RETURN_IF_ERROR(model->TryFit(instances));
+                return model;
+              }) {}
+
+void VaeAugmenter::Prefit(const core::Dataset& train,
+                          const std::vector<int>& labels) {
+  models_.Prefit("augment." + name() + ".prefit", train, labels);
+}
 
 core::StatusOr<std::vector<core::TimeSeries>> VaeAugmenter::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
-  const std::vector<std::vector<int>> by_class = train.IndicesByClass();
-  TSAUG_CHECK(label >= 0 && label < static_cast<int>(by_class.size()));
-  const std::vector<int>& members = by_class[static_cast<size_t>(label)];
-  if (members.empty()) {
-    return core::DegenerateInputError("vae: class " + std::to_string(label) +
-                                      " has no instances");
-  }
+  core::StatusOr<Vae*> model = models_.Get(train, label);
+  if (!model.ok()) return model.status();
 
   const int channels = train.num_channels();
   const int length = train.max_length();
-  auto it = models_.find(label);
-  if (it == models_.end()) {
-    std::vector<std::vector<double>> instances;
-    instances.reserve(members.size());
-    for (int i : members) {
-      core::TimeSeries s = core::ImputeLinear(train.series(i));
-      if (s.length() != length) s = core::ResampleToLength(s, length);
-      instances.push_back(s.Flatten());
-    }
-    VaeConfig config = config_;
-    config.seed = config_.seed ^ (0x5eedull + 1000003ull * static_cast<unsigned long long>(label));
-    auto model = std::make_unique<Vae>(config);
-    TSAUG_RETURN_IF_ERROR(model->TryFit(instances));
-    it = models_.emplace(label, std::move(model)).first;
-  }
-
   std::vector<core::TimeSeries> out;
   out.reserve(static_cast<size_t>(count));
-  for (std::vector<double>& flat : it->second->Sample(count, rng)) {
+  for (std::vector<double>& flat : (*model)->Sample(count, rng)) {
     out.push_back(core::TimeSeries::FromFlat(flat, channels, length));
   }
   return out;

@@ -1,11 +1,11 @@
 #ifndef TSAUG_AUGMENT_VAE_H_
 #define TSAUG_AUGMENT_VAE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 
 #include "augment/augmenter.h"
+#include "augment/class_models.h"
 #include "nn/layers.h"
 
 namespace tsaug::augment {
@@ -61,7 +61,9 @@ class Vae {
   double final_loss_ = 0.0;
 };
 
-/// Per-class VAE augmenter with the same lazy-fit caching as TimeGAN.
+/// Per-class VAE augmenter with the same per-class model cache as TimeGAN:
+/// Prefit() trains the requested classes concurrently, any other class is
+/// trained on first use, and a failed fit is cached and re-reported.
 class VaeAugmenter : public Augmenter {
  public:
   explicit VaeAugmenter(VaeConfig config = {});
@@ -73,11 +75,12 @@ class VaeAugmenter : public Augmenter {
   core::StatusOr<std::vector<core::TimeSeries>> DoGenerate(
       const core::Dataset& train, int label, int count,
       core::Rng& rng) override;
-  void Invalidate() override { models_.clear(); }
+  void Prefit(const core::Dataset& train,
+              const std::vector<int>& labels) override;
+  void Invalidate() override { models_.Clear(); }
 
  private:
-  VaeConfig config_;
-  std::map<int, std::unique_ptr<Vae>> models_;
+  ClassModelCache<Vae> models_;
 };
 
 }  // namespace tsaug::augment

@@ -14,10 +14,12 @@
 #include "augment/noise.h"
 #include "augment/oversample.h"
 #include "augment/timegan.h"
+#include "core/cancel.h"
 #include "core/faultpoint.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/status.h"
+#include "core/trace.h"
 #include "eval/experiment.h"
 
 namespace tsaug::eval {
@@ -324,6 +326,107 @@ TEST(FaultTolerance, TimeGanFallbackDegradesGracefully) {
       no_fallback.TryGenerate(data.train, 0, 4, rng);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), core::StatusCode::kInjectedFault);
+}
+
+// Four classes, three of them short of the majority, so balancing asks
+// the augmenter for classes 1, 2 and 3.
+data::TrainTest FourClassData() {
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.train_counts = {10, 6, 5, 4};
+  spec.test_counts = {2, 2, 2, 2};
+  spec.num_channels = 2;
+  spec.length = 16;
+  spec.seed = 11;
+  return data::MakeSynthetic(spec);
+}
+
+augment::TimeGanConfig TinyTimeGanConfig() {
+  augment::TimeGanConfig config;
+  config.embedding_iterations = 2;
+  config.supervised_iterations = 2;
+  config.joint_iterations = 1;
+  return config;
+}
+
+TEST(FaultTolerance, PerClassFitFaultDegradesOnlyThatClass) {
+  ThreadCountGuard thread_guard;
+  const bool trace_was_enabled = core::trace::Enabled();
+  core::trace::Enable();
+  const data::TrainTest data = FourClassData();
+  // Each class's GAN trains in its own fault sub-domain "<caller>/class<k>",
+  // so the rule hits class 2's fit and no other, whichever thread runs it.
+  FaultSpecGuard faults("timegan.fit@class2:1+");
+
+  std::vector<core::Dataset> balanced;
+  for (int threads : {1, 4}) {
+    core::SetNumThreads(threads);
+    core::trace::Reset();
+    augment::TimeGanAugmenter augmenter(TinyTimeGanConfig(),
+                                        std::make_unique<augment::Smote>());
+    core::Rng rng(3);
+    core::StatusOr<core::Dataset> out =
+        augment::TryBalanceWithAugmenter(data.train, augmenter, rng);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->ClassCounts(), (std::vector<int>{10, 10, 10, 10}));
+    EXPECT_EQ(core::trace::CounterValue("augment.prefit_classes"), 3)
+        << threads << " threads";
+    EXPECT_EQ(core::trace::CounterValue("timegan.fallback"), 1)
+        << threads << " threads";
+    balanced.push_back(std::move(out).value());
+  }
+  EXPECT_EQ(balanced[0].labels(), balanced[1].labels());
+  for (int i = 0; i < balanced[0].size(); ++i) {
+    EXPECT_EQ(balanced[0].series(i), balanced[1].series(i)) << "series " << i;
+  }
+
+  // Without a fallback, exactly class 2 reports the injected fault; the
+  // other classes' GANs trained and sample normally.
+  core::SetNumThreads(4);
+  augment::TimeGanAugmenter no_fallback(TinyTimeGanConfig());
+  no_fallback.Prefit(data.train, {1, 2, 3});
+  core::Rng rng(3);
+  for (int label : {1, 2, 3}) {
+    core::StatusOr<std::vector<core::TimeSeries>> generated =
+        no_fallback.TryGenerate(data.train, label, 2, rng);
+    if (label == 2) {
+      ASSERT_FALSE(generated.ok());
+      EXPECT_EQ(generated.status().code(), core::StatusCode::kInjectedFault);
+    } else {
+      EXPECT_TRUE(generated.ok()) << generated.status().ToString();
+    }
+  }
+  if (!trace_was_enabled) core::trace::Disable();
+}
+
+TEST(FaultTolerance, ExpiredDeadlineFollowsPooledClassFits) {
+  ThreadCountGuard thread_guard;
+  core::SetNumThreads(4);
+  const data::TrainTest data = FourClassData();
+  // The caller's stop token is installed on every pool worker that fits a
+  // class, so an expired cell budget stops all of them, not only the fits
+  // that happen to run on the calling thread.
+  core::StopSource expired;
+  expired.SetDeadlineAfterSeconds(0.0);
+  augment::TimeGanAugmenter augmenter(TinyTimeGanConfig());
+  {
+    core::ScopedStopToken scoped(expired.token());
+    core::Rng rng(3);
+    core::StatusOr<core::Dataset> out =
+        augment::TryBalanceWithAugmenter(data.train, augmenter, rng);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), core::StatusCode::kDeadlineExceeded)
+        << out.status().ToString();
+  }
+  // Every prefitted class recorded the deadline, not just the first one.
+  core::Rng rng(3);
+  for (int label : {1, 2, 3}) {
+    core::StatusOr<std::vector<core::TimeSeries>> generated =
+        augmenter.TryGenerate(data.train, label, 2, rng);
+    ASSERT_FALSE(generated.ok()) << "class " << label;
+    EXPECT_EQ(generated.status().code(), core::StatusCode::kDeadlineExceeded)
+        << "class " << label;
+  }
 }
 
 }  // namespace

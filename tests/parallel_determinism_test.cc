@@ -1,14 +1,19 @@
 // End-to-end determinism of the parallelised hot paths: every public
 // result must be bitwise identical for 1, 2 and 8 threads, because
 // ParallelFor call sites only partition independent output slices and
-// all RNG draws stay in serial setup phases.
+// all shared-stream RNG draws stay in serial setup phases.
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "augment/noise.h"
 #include "augment/oversample.h"
+#include "augment/timegan.h"
+#include "augment/vae.h"
 #include "classify/minirocket.h"
 #include "classify/nearest_neighbor.h"
 #include "classify/rocket.h"
@@ -243,6 +248,85 @@ TEST(ParallelDeterminism, TracingEnabledGridIdentical) {
   EXPECT_GT(core::trace::CounterValue("eval.cells"), 0);
 
   if (!trace_was_enabled) core::trace::Disable();
+}
+
+// Balance/expand with a per-class generative augmenter: Prefit() fits the
+// classes on the pool, so the augmented set must match, bit for bit, both
+// every other thread count and a plain per-label TryGenerate loop that
+// fits each class lazily on first use.
+TEST(ParallelDeterminism, GenerativeBalanceIdentical) {
+  ThreadCountGuard guard;
+  data::SyntheticSpec spec;
+  spec.num_classes = 5;
+  spec.train_counts = {9, 6, 5, 4, 3};
+  spec.test_counts = {1, 1, 1, 1, 1};
+  spec.num_channels = 2;
+  spec.length = 12;
+  spec.seed = 4;
+  const core::Dataset train = data::MakeSynthetic(spec).train;
+
+  augment::TimeGanConfig timegan;
+  timegan.embedding_iterations = 2;
+  timegan.supervised_iterations = 2;
+  timegan.joint_iterations = 1;
+  augment::VaeConfig vae;
+  vae.epochs = 4;
+  // Fresh augmenters per call: they cache per-class models. The SMOTE
+  // fallback keeps a class whose GAN fit is injected to fail in play.
+  const std::vector<std::function<std::unique_ptr<augment::Augmenter>()>>
+      makers = {
+          [&] {
+            return std::make_unique<augment::TimeGanAugmenter>(
+                timegan, std::make_unique<augment::Smote>());
+          },
+          [&] { return std::make_unique<augment::VaeAugmenter>(vae); },
+      };
+
+  // The protocols' per-label requests, replayed through TryGenerate alone.
+  auto lazy = [&](augment::Augmenter& augmenter, bool balance) {
+    const std::vector<int> counts = train.ClassCounts();
+    const int majority = counts[static_cast<size_t>(train.MajorityClass())];
+    core::Rng rng(17);
+    core::Dataset out = train;
+    for (int label = 0; label < train.num_classes(); ++label) {
+      const int count = counts[static_cast<size_t>(label)];
+      const int extra = balance ? majority - count
+                                : static_cast<int>(count * 0.5 + 0.5);
+      if (extra <= 0) continue;
+      for (core::TimeSeries& s : augmenter.Generate(train, label, extra, rng)) {
+        out.Add(std::move(s), label);
+      }
+    }
+    return out;
+  };
+  auto expect_same = [](const core::Dataset& a, const core::Dataset& b,
+                        const std::string& what) {
+    ASSERT_EQ(a.labels(), b.labels()) << what;
+    for (int i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.series(i), b.series(i)) << what << ", series " << i;
+    }
+  };
+
+  for (const auto& make : makers) {
+    core::SetNumThreads(1);
+    const std::string name = make()->name();
+    const core::Dataset balanced = lazy(*make(), /*balance=*/true);
+    const core::Dataset expanded = lazy(*make(), /*balance=*/false);
+    for (int threads : kThreadCounts) {
+      core::SetNumThreads(threads);
+      const std::string what = name + ", " + std::to_string(threads) +
+                               " threads";
+      core::Rng balance_rng(17);
+      expect_same(balanced,
+                  augment::BalanceWithAugmenter(train, *make(), balance_rng),
+                  "balance " + what);
+      core::Rng expand_rng(17);
+      expect_same(
+          expanded,
+          augment::ExpandWithAugmenter(train, *make(), 0.5, expand_rng),
+          "expand " + what);
+    }
+  }
 }
 
 }  // namespace
