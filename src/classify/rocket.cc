@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 #include "core/cancel.h"
 #include "core/kernels/kernels.h"
@@ -160,19 +164,15 @@ linalg::Matrix RocketTransform::Transform(const nn::Tensor& data) const {
   return features;
 }
 
-RocketClassifier::RocketClassifier(int num_kernels, std::uint64_t seed,
-                                   bool z_normalize)
-    : transform_(num_kernels, seed), z_normalize_(z_normalize) {}
+namespace {
 
-void RocketClassifier::Fit(const core::Dataset& train) {
-  const core::Status status = TryFit(train);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-}
+/// Shared run features are z-normalised, like RocketClassifier's default.
+constexpr bool kZNormalize = true;
 
-core::Status RocketClassifier::TryFit(const core::Dataset& train) {
-  // Typed preflight instead of aborts: stress-scenario datasets reach
-  // this path with shapes the transform cannot use (see core/validate.h);
-  // the grid records them as failed cells and keeps going.
+/// Typed preflight instead of aborts: stress-scenario datasets reach a
+/// ROCKET fit with shapes the transform cannot use (see core/validate.h);
+/// the grid records them as failed cells and keeps going.
+core::Status PreflightTrain(const core::Dataset& train) {
   if (train.empty()) {
     return core::DegenerateInputError("rocket: training set is empty");
   }
@@ -184,26 +184,133 @@ core::Status RocketClassifier::TryFit(const core::Dataset& train) {
     return core::DegenerateInputError(
         "rocket: every training series is shorter than 2 steps");
   }
+  return core::OkStatus();
+}
+
+/// Feature rows of `data` under a transform fitted to `length`: the rows
+/// of `prefix` (the already-computed features of `data`'s first
+/// prefix->rows() rows) followed by the transform of the remaining rows;
+/// without a prefix every row is transformed. Fits, shared runs and
+/// predictions all build their features here.
+linalg::Matrix AssembleFeatures(const RocketTransform& transform,
+                                const core::Dataset& data, int length,
+                                bool z_normalize,
+                                const linalg::Matrix* prefix = nullptr) {
+  if (prefix == nullptr) {
+    return transform.Transform(DatasetToTensor(data, length, z_normalize));
+  }
+  const int first = prefix->rows();
+  linalg::Matrix features(data.size(), prefix->cols());
+  std::copy(prefix->data().begin(), prefix->data().end(),
+            features.data().begin());
+  if (first < data.size()) {
+    std::vector<int> suffix(static_cast<size_t>(data.size() - first));
+    std::iota(suffix.begin(), suffix.end(), first);
+    const linalg::Matrix rows = transform.Transform(
+        DatasetToTensor(data.Subset(suffix), length, z_normalize));
+    std::copy(rows.data().begin(), rows.data().end(),
+              features.data().begin() +
+                  static_cast<std::ptrdiff_t>(prefix->size()));
+  }
+  return features;
+}
+
+/// The ridge half of a ROCKET fit. The LOOCV sweep is as expensive as the
+/// transform, so one more poll bounds the latency of a stop to one phase.
+core::Status FitRidge(const linalg::Matrix& features,
+                      const core::Dataset& train,
+                      linalg::RidgeClassifierCV& ridge) {
+  TSAUG_RETURN_IF_ERROR(core::CheckStop("rocket.ridge"));
+  core::Status status =
+      ridge.TryFit(features, train.labels(), train.num_classes());
+  if (!status.ok()) return status.AddContext("rocket");
+  return status;
+}
+
+bool SameSeries(const core::TimeSeries& a, const core::TimeSeries& b) {
+  if (a.num_channels() != b.num_channels() || a.length() != b.length()) {
+    return false;
+  }
+  // Bit patterns, not operator==: a NaN matches the identical NaN.
+  return a.values().empty() ||
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.values().size() * sizeof(double)) == 0;
+}
+
+/// True when `data` begins with every series and label of `prefix`.
+bool StartsWith(const core::Dataset& data, const core::Dataset& prefix) {
+  if (data.size() < prefix.size()) return false;
+  for (int i = 0; i < prefix.size(); ++i) {
+    if (data.label(i) != prefix.label(i) ||
+        !SameSeries(data.series(i), prefix.series(i))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+RocketRunFeatures::RocketRunFeatures(int num_kernels, std::uint64_t seed,
+                                     core::Dataset base, core::Dataset test)
+    : transform_(num_kernels, seed),
+      base_(std::move(base)),
+      test_(std::move(test)) {
+  TSAUG_CHECK(PreflightTrain(base_).ok());
+  TSAUG_CHECK(!test_.empty() && core::ChannelsConsistent(test_) &&
+              test_.num_channels() == base_.num_channels());
+  const int length = base_.max_length();
+  transform_.Fit(base_.num_channels(), length);
+  base_features_ = AssembleFeatures(transform_, base_, length, kZNormalize);
+  test_features_ = AssembleFeatures(transform_, test_, length, kZNormalize);
+}
+
+bool RocketRunFeatures::Extends(const core::Dataset& train,
+                                const core::Dataset& test) const {
+  return !train.empty() && core::ChannelsConsistent(train) &&
+         train.num_channels() == base_.num_channels() &&
+         train.max_length() == base_.max_length() &&
+         StartsWith(train, base_) && test.size() == test_.size() &&
+         StartsWith(test, test_);
+}
+
+core::Status RocketRunFeatures::TryFitRidge(
+    const core::Dataset& train, linalg::RidgeClassifierCV& ridge) const {
+  TSAUG_DCHECK(StartsWith(train, base_));
+  TSAUG_RETURN_IF_ERROR(PreflightTrain(train));
+  TSAUG_RETURN_IF_ERROR(core::CheckStop("rocket.fit"));
+  TSAUG_TRACE_SCOPE("train.rocket");
+  const linalg::Matrix features =
+      AssembleFeatures(transform_, train, base_.max_length(), kZNormalize,
+                       &base_features_);
+  return FitRidge(features, train, ridge);
+}
+
+RocketClassifier::RocketClassifier(int num_kernels, std::uint64_t seed,
+                                   bool z_normalize)
+    : transform_(num_kernels, seed), z_normalize_(z_normalize) {}
+
+void RocketClassifier::Fit(const core::Dataset& train) {
+  const core::Status status = TryFit(train);
+  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
+}
+
+core::Status RocketClassifier::TryFit(const core::Dataset& train) {
+  TSAUG_RETURN_IF_ERROR(PreflightTrain(train));
   TSAUG_RETURN_IF_ERROR(core::CheckStop("rocket.fit"));
   TSAUG_TRACE_SCOPE("train.rocket");
   train_length_ = train.max_length();
-  const nn::Tensor x = DatasetToTensor(train, train_length_, z_normalize_);
   transform_.Fit(train.num_channels(), train_length_);
-  const linalg::Matrix features = transform_.Transform(x);
-  // The ridge LOOCV sweep is the other expensive half of a ROCKET fit;
-  // one more poll bounds the latency of a stop to a single phase.
-  TSAUG_RETURN_IF_ERROR(core::CheckStop("rocket.ridge"));
-  core::Status status =
-      ridge_.TryFit(features, train.labels(), train.num_classes());
-  if (!status.ok()) return status.AddContext("rocket");
-  return status;
+  const linalg::Matrix features =
+      AssembleFeatures(transform_, train, train_length_, z_normalize_);
+  return FitRidge(features, train, ridge_);
 }
 
 std::vector<int> RocketClassifier::Predict(const core::Dataset& test) {
   TSAUG_CHECK(transform_.fitted());
   TSAUG_TRACE_SCOPE("predict.rocket");
-  const nn::Tensor x = DatasetToTensor(test, train_length_, z_normalize_);
-  return ridge_.Predict(transform_.Transform(x));
+  return ridge_.Predict(
+      AssembleFeatures(transform_, test, train_length_, z_normalize_));
 }
 
 }  // namespace tsaug::classify

@@ -35,6 +35,7 @@ class RocketTransform {
 
   bool fitted() const { return !kernels_.empty(); }
   int num_kernels() const { return num_kernels_; }
+  std::uint64_t seed() const { return seed_; }
   int series_length() const { return series_length_; }
   const std::vector<RocketKernel>& kernels() const { return kernels_; }
 
@@ -47,6 +48,46 @@ class RocketTransform {
   std::uint64_t seed_;
   int series_length_ = 0;
   std::vector<RocketKernel> kernels_;
+};
+
+/// ROCKET features shared by the cells of one experiment-grid run. Every
+/// cell of a run draws its kernels from the same seed, scores on the same
+/// test set, and trains on the run's base training set with its own
+/// synthetic rows appended after it (augment/augmenter.h). This object
+/// fits the transform once for the base geometry and keeps the feature
+/// rows of the base and test sets, so a cell transforms only its suffix.
+class RocketRunFeatures {
+ public:
+  /// Fits the transform for `base`'s geometry and transforms `base` and
+  /// `test`, z-normalised like a default RocketClassifier. Both must pass
+  /// the typed preflight of the grid's ROCKET cells: non-empty,
+  /// channel-consistent, with the same channel count, every series at
+  /// least one step long and `base.max_length() >= 2`.
+  RocketRunFeatures(int num_kernels, std::uint64_t seed, core::Dataset base,
+                    core::Dataset test);
+
+  /// True when `train` has the base channel count and max_length and
+  /// starts with the base series and labels, bit for bit (NaN payloads
+  /// included), and `test` is the test set, bit for bit. Then the features
+  /// of `train` are the base features followed by those of its suffix.
+  bool Extends(const core::Dataset& train, const core::Dataset& test) const;
+
+  /// Fits `ridge` on the features of `train`, which must satisfy
+  /// Extends(): only the rows after the base are transformed. Runs the
+  /// same preflight and stop polls ("rocket.fit", then "rocket.ridge") as
+  /// RocketClassifier::TryFit, and leaves the same ridge behind.
+  [[nodiscard]] core::Status TryFitRidge(const core::Dataset& train,
+                                         linalg::RidgeClassifierCV& ridge) const;
+
+  const RocketTransform& transform() const { return transform_; }
+  const linalg::Matrix& test_features() const { return test_features_; }
+
+ private:
+  RocketTransform transform_;
+  core::Dataset base_;
+  core::Dataset test_;
+  linalg::Matrix base_features_;
+  linalg::Matrix test_features_;
 };
 
 /// ROCKET + ridge-regression classifier, the paper's non-deep baseline

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -14,6 +15,7 @@
 #include "core/trace.h"
 #include "core/validate.h"
 #include "eval/shard.h"
+#include "linalg/ridge.h"
 
 namespace tsaug::eval {
 
@@ -120,15 +122,14 @@ double TrainAndScore(const ExperimentConfig& config,
   return outcome.value().accuracy;
 }
 
-core::StatusOr<ScoreOutcome> TryTrainAndScore(const ExperimentConfig& config,
-                                              const core::Dataset& train,
-                                              const core::Dataset& validation,
-                                              const core::Dataset& test,
-                                              std::uint64_t run_seed) {
-  // Typed preflight shared by both models: the shapes below used to be
-  // TSAUG_CHECK aborts inside DatasetToTensor / the transforms. The
-  // stress catalog produces all of them on purpose; each must fail the
-  // cell, not the process.
+namespace {
+
+/// Typed preflight shared by both models: the shapes below used to be
+/// TSAUG_CHECK aborts inside DatasetToTensor / the transforms. The stress
+/// catalog produces all of them on purpose; each must fail the cell, not
+/// the process.
+core::Status PreflightSplits(const core::Dataset& train,
+                             const core::Dataset& test) {
   if (train.empty()) {
     return core::DegenerateInputError("train_and_score: training set empty");
   }
@@ -159,15 +160,43 @@ core::StatusOr<ScoreOutcome> TryTrainAndScore(const ExperimentConfig& config,
         "train_and_score: every training series is below the model floor "
         "of 2 steps");
   }
+  return core::OkStatus();
+}
+
+ScoreOutcome RocketOutcome(const linalg::RidgeClassifierCV& ridge,
+                           const std::vector<int>& predicted,
+                           const core::Dataset& test) {
+  ScoreOutcome outcome;
+  outcome.accuracy = classify::Accuracy(predicted, test.labels());
+  outcome.retries = ridge.solve_retries() + (ridge.loocv_fell_back() ? 1 : 0);
+  return outcome;
+}
+
+}  // namespace
+
+core::StatusOr<ScoreOutcome> TryTrainAndScore(
+    const ExperimentConfig& config, const core::Dataset& train,
+    const core::Dataset& validation, const core::Dataset& test,
+    std::uint64_t run_seed, const classify::RocketRunFeatures* shared) {
+  TSAUG_RETURN_IF_ERROR(PreflightSplits(train, test));
   switch (config.model) {
     case ModelKind::kRocket: {
+      if (shared != nullptr &&
+          shared->transform().num_kernels() == config.rocket_kernels &&
+          shared->transform().seed() == run_seed &&
+          shared->Extends(train, test)) {
+        linalg::RidgeClassifierCV ridge;
+        TSAUG_RETURN_IF_ERROR(shared->TryFitRidge(train, ridge));
+        return RocketOutcome(ridge, ridge.Predict(shared->test_features()),
+                             test);
+      }
+      // A training set that does not extend the shared rows (e.g. a
+      // variable-length set whose synthetic rows raise max_length)
+      // transforms every row itself.
+      if (shared != nullptr) core::trace::AddCount("eval.rocket_shared_miss");
       classify::RocketClassifier model(config.rocket_kernels, run_seed);
       TSAUG_RETURN_IF_ERROR(model.TryFit(train));
-      ScoreOutcome outcome;
-      outcome.accuracy = model.Score(test);
-      outcome.retries = model.ridge().solve_retries() +
-                        (model.ridge().loocv_fell_back() ? 1 : 0);
-      return outcome;
+      return RocketOutcome(model.ridge(), model.Predict(test), test);
     }
     case ModelKind::kInceptionTime: {
       classify::InceptionTimeClassifier model(config.inception, run_seed);
@@ -424,6 +453,30 @@ DatasetRow RunGridAgainstJournal(
       }
     }
 
+    // Shared ROCKET features (classify/rocket.h): every ROCKET cell of this
+    // run trains on train_part with its own rows appended and scores on the
+    // same test set, so the base and test rows are transformed once, here,
+    // where the transform's row loop has the whole pool. Built only when
+    // some cell will be evaluated, and outside every cell fault domain, so
+    // per-cell fault counters and poll order are untouched. Each cell
+    // still checks that its training set extends train_part bit for bit
+    // and falls back to a full transform when it does not.
+    std::optional<classify::RocketRunFeatures> shared;
+    if (config.model == ModelKind::kRocket &&
+        PreflightSplits(train_part, *test_set).ok()) {
+      bool any_evaluated = false;
+      for (size_t c = 0; c < num_cells; ++c) {
+        if (owned[c] != 0 && resumed[c] == nullptr && cell_status[c].ok()) {
+          any_evaluated = true;
+        }
+      }
+      if (any_evaluated) {
+        TSAUG_TRACE_SCOPE("eval.rocket_shared");
+        shared.emplace(config.rocket_kernels, run_seed, train_part,
+                       *test_set);
+      }
+    }
+
     // Parallel evaluation phase: each grid cell trains and scores an
     // independent classifier into its own slot. Training seeds are fixed
     // per run and fault-point counters are domain-keyed, so scores — and
@@ -431,7 +484,8 @@ DatasetRow RunGridAgainstJournal(
     // on or off. Nested ParallelFor calls inside the classifiers run
     // inline on the worker evaluating that cell. Safe by-reference
     // capture: every worker writes only its own cell's disjoint
-    // scores/retries/status slots, and the reduction order below is fixed.
+    // scores/retries/status slots, `shared` is read-only, and the
+    // reduction order below is fixed.
     std::vector<double> scores(num_cells, 0.0);
     std::vector<int> retries(num_cells, 0);
     core::ParallelFor(
@@ -466,8 +520,9 @@ DatasetRow RunGridAgainstJournal(
               cell_done[c] = 1;
               continue;
             }
-            core::StatusOr<ScoreOutcome> outcome = TryTrainAndScore(
-                config, cell_train[c], validation, *test_set, run_seed);
+            core::StatusOr<ScoreOutcome> outcome =
+                TryTrainAndScore(config, cell_train[c], validation, *test_set,
+                                 run_seed, shared ? &*shared : nullptr);
             if (outcome.ok()) {
               scores[c] = outcome.value().accuracy;
               retries[c] = outcome.value().retries;

@@ -10,6 +10,7 @@
 #include "augment/augmenter.h"
 #include "augment/timegan.h"
 #include "classify/inception_time.h"
+#include "classify/rocket.h"
 #include "core/status.h"
 #include "data/synthetic.h"
 #include "eval/journal.h"
@@ -161,11 +162,18 @@ double TrainAndScore(const ExperimentConfig& config,
 
 /// Recoverable variant of TrainAndScore(): returns the Status of a model
 /// whose training failed after its recovery policies were exhausted.
-[[nodiscard]] core::StatusOr<ScoreOutcome> TryTrainAndScore(const ExperimentConfig& config,
-                                              const core::Dataset& train,
-                                              const core::Dataset& validation,
-                                              const core::Dataset& test,
-                                              std::uint64_t run_seed);
+///
+/// `shared` (ROCKET only) holds a run's transform and the features of its
+/// base training rows and of `test`. When it was built for
+/// (config.rocket_kernels, run_seed) and Extends(train, test), only the
+/// rows of `train` after the base are transformed; otherwise the call
+/// falls back to a fresh RocketClassifier. Either way the outcome is
+/// bit-identical.
+[[nodiscard]] core::StatusOr<ScoreOutcome> TryTrainAndScore(
+    const ExperimentConfig& config, const core::Dataset& train,
+    const core::Dataset& validation, const core::Dataset& test,
+    std::uint64_t run_seed,
+    const classify::RocketRunFeatures* shared = nullptr);
 
 /// Identity string of a grid: model, runs, seed, architecture and the
 /// technique list. Written into the journal header so a journal can never

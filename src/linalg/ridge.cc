@@ -10,24 +10,32 @@
 
 namespace tsaug::linalg {
 
-core::Status RidgeRegression::TryFit(const Matrix& x, const Matrix& y,
-                                     double alpha) {
+CenteredRidgeProblem::CenteredRidgeProblem(const Matrix& x, const Matrix& y,
+                                           bool with_gram)
+    : x_means(x.ColMeans()), y_means(y.ColMeans()), xc(x), yc(y) {
   TSAUG_CHECK(x.rows() == y.rows());
   TSAUG_CHECK(x.rows() > 0);
+  xc.CenterColumns(x_means);
+  yc.CenterColumns(y_means);
+  if (with_gram) gram = MatMulTransposeB(xc, xc);
+}
+
+core::Status RidgeRegression::TryFit(const Matrix& x, const Matrix& y,
+                                     double alpha) {
+  return TryFit(CenteredRidgeProblem(x, y, /*with_gram=*/false), alpha);
+}
+
+core::Status RidgeRegression::TryFit(const CenteredRidgeProblem& problem,
+                                     double alpha) {
   TSAUG_CHECK(alpha >= 0.0);
 
   if (core::fault::ShouldFail("ridge.solve")) {
     return core::fault::InjectedAt("ridge.solve");
   }
 
-  const std::vector<double> x_means = x.ColMeans();
-  const std::vector<double> y_means = y.ColMeans();
-  Matrix xc = x;
-  xc.CenterColumns(x_means);
-  Matrix yc = y;
-  yc.CenterColumns(y_means);
-
-  if (x.cols() <= x.rows()) {
+  const Matrix& xc = problem.xc;
+  const Matrix& yc = problem.yc;
+  if (!problem.dual()) {
     // Primal: (Xc^T Xc + aI) W = Xc^T Yc.
     Matrix gram = MatMulTransposeA(xc, xc);
     AddDiagonal(gram, alpha);
@@ -40,7 +48,8 @@ core::Status RidgeRegression::TryFit(const Matrix& x, const Matrix& y,
     weights_ = std::move(solved).value();
   } else {
     // Dual: (Xc Xc^T + aI) C = Yc, W = Xc^T C.
-    Matrix gram = MatMulTransposeB(xc, xc);
+    Matrix gram =
+        problem.gram.empty() ? MatMulTransposeB(xc, xc) : problem.gram;
     AddDiagonal(gram, alpha);
     core::StatusOr<Matrix> solved = TryCholeskySolveJittered(gram, yc);
     if (!solved.ok()) {
@@ -50,10 +59,10 @@ core::Status RidgeRegression::TryFit(const Matrix& x, const Matrix& y,
     weights_ = MatMulTransposeA(xc, std::move(solved).value());
   }
 
-  intercept_.assign(static_cast<size_t>(y.cols()), 0.0);
-  for (int k = 0; k < y.cols(); ++k) {
-    double shift = y_means[static_cast<size_t>(k)];
-    for (int d = 0; d < x.cols(); ++d) shift -= x_means[static_cast<size_t>(d)] * weights_(d, k);
+  intercept_.assign(static_cast<size_t>(yc.cols()), 0.0);
+  for (int k = 0; k < yc.cols(); ++k) {
+    double shift = problem.y_means[static_cast<size_t>(k)];
+    for (int d = 0; d < xc.cols(); ++d) shift -= problem.x_means[static_cast<size_t>(d)] * weights_(d, k);
     intercept_[static_cast<size_t>(k)] = shift;
   }
   return core::OkStatus();
@@ -90,7 +99,19 @@ namespace {
 /// null space; that direction corresponds to the unpenalised intercept and
 /// must be excluded from the LOOCV identity (as sklearn's _RidgeGCV does),
 /// or its 1/alpha term swamps the G^{-1} diagonal as alpha -> 0.
-int InterceptDimension(const Matrix& q) {
+///
+/// Returns -1 when the null space has more than one dimension (fewer
+/// features than samples - 1, or repeated rows): its eigenvectors are then
+/// an arbitrary basis of that space, none of them the ones direction, and
+/// LooError projects the ones direction out explicitly instead.
+int InterceptDimension(const Matrix& q, const std::vector<double>& eigenvalues) {
+  const double largest =
+      *std::max_element(eigenvalues.begin(), eigenvalues.end());
+  int null_dims = 0;
+  for (double v : eigenvalues) {
+    if (v <= 1e-9 * largest) ++null_dims;
+  }
+  if (null_dims > 1) return -1;
   int best = 0;
   double best_abs = -1.0;
   for (int j = 0; j < q.cols(); ++j) {
@@ -107,8 +128,11 @@ int InterceptDimension(const Matrix& q) {
 /// Sum of squared leave-one-out residuals of kernel ridge with the given
 /// regulariser, from the eigendecomposition of the centred Gram matrix.
 /// `qty` = Q^T Yc. Identity: e_i = c_i / G^{-1}_{ii} with
-/// c = G^{-1} Yc and G = K + alpha I. The eigendirection `intercept_dim`
-/// carries zero weight (see InterceptDimension).
+/// c = G^{-1} Yc and G = K + alpha I, the ones (intercept) direction
+/// removed from G^{-1}. The eigendirection `intercept_dim` carries zero
+/// weight; with intercept_dim = -1 every direction keeps its weight and
+/// the ones direction's share, 1/(alpha n), comes off the diagonal (its
+/// share of c is zero, since Yc is centred).
 double LooError(const Matrix& q, const std::vector<double>& eigenvalues,
                 const Matrix& qty, double alpha, int intercept_dim) {
   const int n = q.rows();
@@ -118,6 +142,7 @@ double LooError(const Matrix& q, const std::vector<double>& eigenvalues,
   for (int j = 0; j < n; ++j) {
     inv_eig[static_cast<size_t>(j)] = j == intercept_dim ? 0.0 : 1.0 / (eigenvalues[static_cast<size_t>(j)] + alpha);
   }
+  const double ones_share = intercept_dim < 0 ? 1.0 / (alpha * n) : 0.0;
 
   // c = Q diag(w) Q^T Yc with w = inv_eig.
   Matrix scaled = qty;  // rows indexed by eigenvalue
@@ -132,6 +157,7 @@ double LooError(const Matrix& q, const std::vector<double>& eigenvalues,
     for (int j = 0; j < n; ++j) {
       ginv_ii += q(i, j) * q(i, j) * inv_eig[static_cast<size_t>(j)];
     }
+    ginv_ii -= ones_share;
     if (ginv_ii <= 0.0) return std::numeric_limits<double>::infinity();
     for (int t = 0; t < k; ++t) {
       const double residual = dual(i, t) / ginv_ii;
@@ -163,52 +189,49 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
   num_classes_ = num_classes;
   solve_retries_ = 0;
   loocv_fallback_ = false;
+  loo_errors_.clear();
   const Matrix y = EncodeLabels(labels, num_classes);
 
   best_alpha_ = alphas_[alphas_.size() / 2];
-  if (x.rows() >= 3 && alphas_.size() > 1) {
-    // Recovery policy: LOOCV alpha selection is an optimisation, not a
-    // requirement — a non-finite eigendecomposition of a degenerate Gram
-    // matrix (or an injected "ridge.loocv" fault) falls back to the
-    // default mid-grid alpha rather than failing the fit.
-    bool loocv_usable = !core::fault::ShouldFail("ridge.loocv");
+  // Recovery policy: LOOCV alpha selection is an optimisation, not a
+  // requirement — a non-finite eigendecomposition of a degenerate Gram
+  // matrix (or an injected "ridge.loocv" fault) falls back to the
+  // default mid-grid alpha rather than failing the fit.
+  const bool loocv_wanted = x.rows() >= 3 && alphas_.size() > 1;
+  bool loocv_usable = loocv_wanted && !core::fault::ShouldFail("ridge.loocv");
+  // One centring and one Gram serve the LOOCV sweep and every final-solve
+  // attempt below; the primal solve has no use for the n x n Gram.
+  const CenteredRidgeProblem problem(x, y,
+                                     loocv_usable || x.cols() > x.rows());
+  if (loocv_usable) {
+    std::vector<double> eigenvalues;
+    Matrix q;
+    SymmetricEigen(problem.gram, &eigenvalues, &q);
+    // Clamp tiny negative eigenvalues from roundoff.
+    for (double& v : eigenvalues) v = std::max(v, 0.0);
+    for (double v : eigenvalues) {
+      if (!std::isfinite(v)) loocv_usable = false;
+    }
     if (loocv_usable) {
-      const std::vector<double> x_means = x.ColMeans();
-      const std::vector<double> y_means = y.ColMeans();
-      Matrix xc = x;
-      xc.CenterColumns(x_means);
-      Matrix yc = y;
-      yc.CenterColumns(y_means);
+      const Matrix qty = MatMulTransposeA(q, problem.yc);
+      const int intercept_dim = InterceptDimension(q, eigenvalues);
 
-      Matrix gram = MatMulTransposeB(xc, xc);
-      std::vector<double> eigenvalues;
-      Matrix q;
-      SymmetricEigen(gram, &eigenvalues, &q);
-      // Clamp tiny negative eigenvalues from roundoff.
-      for (double& v : eigenvalues) v = std::max(v, 0.0);
-      for (double v : eigenvalues) {
-        if (!std::isfinite(v)) loocv_usable = false;
-      }
-      if (loocv_usable) {
-        const Matrix qty = MatMulTransposeA(q, yc);
-        const int intercept_dim = InterceptDimension(q);
-
-        double best_error = std::numeric_limits<double>::infinity();
-        for (double alpha : alphas_) {
-          const double error =
-              LooError(q, eigenvalues, qty, alpha, intercept_dim);
-          if (error < best_error) {
-            best_error = error;
-            best_alpha_ = alpha;
-          }
+      double best_error = std::numeric_limits<double>::infinity();
+      for (double alpha : alphas_) {
+        const double error =
+            LooError(q, eigenvalues, qty, alpha, intercept_dim);
+        loo_errors_.push_back(error);
+        if (error < best_error) {
+          best_error = error;
+          best_alpha_ = alpha;
         }
       }
     }
-    if (!loocv_usable) {
-      loocv_fallback_ = true;
-      best_alpha_ = alphas_[alphas_.size() / 2];
-      core::trace::AddCount("ridge.loocv_fallback");
-    }
+  }
+  if (loocv_wanted && !loocv_usable) {
+    loocv_fallback_ = true;
+    best_alpha_ = alphas_[alphas_.size() / 2];
+    core::trace::AddCount("ridge.loocv_fallback");
   }
 
   // Recovery policy: a singular solve at the selected alpha escalates the
@@ -218,7 +241,7 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
   double alpha = best_alpha_;
   core::Status status;
   for (int attempt = 0; attempt <= kMaxAlphaEscalations; ++attempt) {
-    status = model_.TryFit(x, y, alpha);
+    status = model_.TryFit(problem, alpha);
     if (status.ok()) {
       best_alpha_ = alpha;
       return status;

@@ -8,6 +8,26 @@
 
 namespace tsaug::linalg {
 
+/// A ridge problem after column centring: the column means of X and Y,
+/// the centred Xc and Yc, and optionally the unregularised n x n Gram
+/// Xc Xc^T. RidgeClassifierCV builds one per fit and shares it between
+/// its LOOCV eigendecomposition and every final-solve attempt, so the
+/// centring and the O(n^2 d) Gram are computed once per fit.
+struct CenteredRidgeProblem {
+  /// Centres `x` (n x d) and `y` (n x k); computes `gram` only when
+  /// `with_gram` is set.
+  CenteredRidgeProblem(const Matrix& x, const Matrix& y, bool with_gram);
+
+  /// More features than samples: the solve runs on the n x n Gram.
+  bool dual() const { return xc.cols() > xc.rows(); }
+
+  std::vector<double> x_means;
+  std::vector<double> y_means;
+  Matrix xc;
+  Matrix yc;
+  Matrix gram;  // Xc Xc^T, or empty when not requested
+};
+
 /// Multi-output ridge regression with intercept.
 ///
 /// Solves min_W ||X W - Y||^2 + alpha ||W||^2 on column-centred data,
@@ -21,6 +41,12 @@ class RidgeRegression {
   /// when the regularised Gram matrix cannot be factorised even after the
   /// jitter schedule (fault point: "ridge.solve").
   [[nodiscard]] core::Status TryFit(const Matrix& x, const Matrix& y, double alpha);
+
+  /// TryFit on an already-centred problem. The dual solve reuses
+  /// `problem.gram` when it is present; the result is bit-identical to
+  /// TryFit on the uncentred inputs.
+  [[nodiscard]] core::Status TryFit(const CenteredRidgeProblem& problem,
+                                    double alpha);
 
   /// Aborting wrapper over TryFit for callers without a recovery policy.
   void Fit(const Matrix& x, const Matrix& y, double alpha);
@@ -79,6 +105,11 @@ class RidgeClassifierCV {
   int solve_retries() const { return solve_retries_; }
   /// True when the last TryFit abandoned LOOCV alpha selection.
   bool loocv_fell_back() const { return loocv_fallback_; }
+  /// Sum of squared leave-one-out residuals at each grid alpha, from the
+  /// last TryFit's LOOCV sweep (empty when the sweep did not run).
+  const std::vector<double>& loo_errors() const { return loo_errors_; }
+  /// The final regression, fitted at best_alpha().
+  const RidgeRegression& model() const { return model_; }
 
  private:
   std::vector<double> alphas_;
@@ -87,6 +118,7 @@ class RidgeClassifierCV {
   int num_classes_ = 0;
   int solve_retries_ = 0;
   bool loocv_fallback_ = false;
+  std::vector<double> loo_errors_;
 };
 
 /// {-1,+1} one-vs-rest indicator targets for integer labels.

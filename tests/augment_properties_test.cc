@@ -4,7 +4,10 @@
 // determinism in the RNG seed, and respecting the requested class. These
 // run with a reduced TimeGAN so the whole registry is covered.
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +119,65 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// Bit-pattern equality: unlike operator==, a NaN equals the same NaN.
+bool SameBits(const core::TimeSeries& a, const core::TimeSeries& b) {
+  return a.num_channels() == b.num_channels() && a.length() == b.length() &&
+         (a.values().empty() ||
+          std::memcmp(a.values().data(), b.values().data(),
+                      a.values().size() * sizeof(double)) == 0);
+}
+
+void ExpectInputLeads(const core::Dataset& input,
+                      const core::StatusOr<core::Dataset>& out,
+                      const std::string& what) {
+  ASSERT_TRUE(out.ok()) << what << ": " << out.status().ToString();
+  ASSERT_GE(out->size(), input.size()) << what;
+  for (int i = 0; i < input.size(); ++i) {
+    EXPECT_EQ(out->label(i), input.label(i)) << what << ", row " << i;
+    EXPECT_TRUE(SameBits(out->series(i), input.series(i)))
+        << what << ", row " << i;
+  }
+}
+
+// The prefix contract of every technique: balancing and expanding return
+// the input's series and labels, unchanged and in order, as the leading
+// rows, with the synthetic rows after them. The experiment grid relies on
+// it to compute one run's ROCKET features of those rows once for every
+// cell. Every technique of the registry is swept, TimeGAN included; its
+// training schedule is cut to PropertyTaxonomy's (the registry's takes
+// seconds per call, and the row order does not depend on it).
+TEST(AugmentationContract, InputRowsLeadBalancedAndExpandedSets) {
+  core::Dataset clean = PropertyData();
+  // A missing value must come back as the same NaN.
+  core::Dataset with_nan = clean;
+  with_nan.mutable_series(11).at(1, 7) =
+      std::numeric_limits<double>::quiet_NaN();
+  for (TaxonomyEntry& entry : BuildTaxonomy(/*include_timegan=*/true)) {
+    if (entry.augmenter->name() == "timegan") {
+      entry.augmenter = PropertyTaxonomy().back().augmenter;
+    }
+    Augmenter& augmenter = *entry.augmenter;
+    const std::string name = augmenter.name();
+    augmenter.Invalidate();
+    core::Rng balance_rng(31);
+    ExpectInputLeads(clean, TryBalanceWithAugmenter(clean, augmenter,
+                                                    balance_rng),
+                     name + " balance");
+    augmenter.Invalidate();
+    core::Rng expand_rng(32);
+    ExpectInputLeads(clean, TryExpandWithAugmenter(clean, augmenter, 0.5,
+                                                   expand_rng),
+                     name + " expand");
+    // Some techniques reject missing values (a typed failure, never a
+    // reordered or rewritten input); those that accept them keep them.
+    augmenter.Invalidate();
+    core::Rng nan_rng(33);
+    const core::StatusOr<core::Dataset> nan_out =
+        TryBalanceWithAugmenter(with_nan, augmenter, nan_rng);
+    if (nan_out.ok()) ExpectInputLeads(with_nan, nan_out, name + " NaN");
+  }
+}
 
 }  // namespace
 }  // namespace tsaug::augment

@@ -100,17 +100,17 @@ TEST(ScenarioCatalog, DriftShiftsTestNotTrain) {
   EXPECT_FALSE(report.HasFatal());
   // The +2.5 step shows in the test mean.
   double train_sum = 0.0, test_sum = 0.0;
-  long long train_n = 0, test_n = 0;
+  double train_n = 0.0, test_n = 0.0;
   for (int i = 0; i < plain.train.size(); ++i) {
     for (double v : plain.train.series(i).values()) {
       train_sum += v;
-      ++train_n;
+      train_n += 1.0;
     }
   }
   for (int i = 0; i < plain.test.size(); ++i) {
     for (double v : plain.test.series(i).values()) {
       test_sum += v;
-      ++test_n;
+      test_n += 1.0;
     }
   }
   EXPECT_GT(test_sum / test_n, train_sum / train_n + 1.5);

@@ -5,6 +5,8 @@
 // row must stay bitwise identical at any thread count.
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -197,6 +199,101 @@ TEST(FaultTolerance, InjectedGridDeterministicAcrossThreadCounts) {
     }
   }
   core::fault::Clear();
+}
+
+void ExpectSameBits(double actual, double expected, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&actual, &expected, sizeof(double)), 0)
+      << what << ": " << actual << " vs " << expected;
+}
+
+// The cells of a ROCKET run share one transform of the base and test rows
+// (classify::RocketRunFeatures), built outside every cell fault domain. A
+// fault still fails only the cell it targets, at any thread count: the
+// smote cell's every ridge solve, and a stop request at each poll of the
+// noise_1.0 cell in turn (cell.start in the augmentation phase, then
+// cell.start, rocket.fit and rocket.ridge in the evaluation phase).
+TEST(FaultTolerance, SharedRocketFeaturesKeepFaultsInTheirOwnCell) {
+  ThreadCountGuard guard;
+  const data::TrainTest data = SmallData(2);
+  for (int threads : {1, 4}) {
+    core::SetNumThreads(threads);
+    const std::string at = std::to_string(threads) + " threads";
+    core::fault::Clear();
+    const DatasetRow clean = RunToyGrid(RocketConfig(/*runs=*/1), data);
+    ASSERT_EQ(clean.cells.size(), 2u);
+
+    {
+      FaultSpecGuard faults("ridge.solve@run0/smote:1+");
+      const DatasetRow row = RunToyGrid(RocketConfig(/*runs=*/1), data);
+      EXPECT_EQ(row.cells[1].failed_runs, 1) << at;
+      EXPECT_EQ(row.cells[1].last_error.code(),
+                core::StatusCode::kInjectedFault)
+          << at;
+      EXPECT_EQ(row.baseline_failed_runs, 0) << at;
+      EXPECT_EQ(row.cells[0].failed_runs, 0) << at;
+      ExpectSameBits(row.baseline_accuracy, clean.baseline_accuracy,
+                     "baseline, " + at);
+      ExpectSameBits(row.cells[0].accuracy, clean.cells[0].accuracy,
+                     "noise_1.0, " + at);
+    }
+
+    // A stopped run is discarded from the row but its finished cells are
+    // journaled; resuming without faults restores them and recomputes
+    // only the stopped cell, so the row must equal the clean one.
+    for (int poll = 1; poll <= 4; ++poll) {
+      const std::string what = at + ", noise_1.0 poll " + std::to_string(poll);
+      ExperimentConfig config = RocketConfig(/*runs=*/1);
+      config.journal_path =
+          (std::filesystem::path(testing::TempDir()) /
+           ("shared_stop_" + std::to_string(threads) + "_" +
+            std::to_string(poll) + ".jsonl"))
+              .string();
+      std::filesystem::remove(config.journal_path);
+      {
+        FaultSpecGuard faults("ridge.solve@run0/smote:1+,"
+                              "cancel.stop@cell/toy/run0/noise_1.0:" +
+                              std::to_string(poll));
+        const DatasetRow stopped = RunToyGrid(config, data);
+        EXPECT_TRUE(stopped.interrupted) << what;
+      }
+      core::fault::Clear();
+      const DatasetRow resumed = RunToyGrid(config, data);
+      EXPECT_FALSE(resumed.interrupted) << what;
+      // Baseline and smote come back from the journal; noise_1.0 reruns.
+      EXPECT_EQ(resumed.resumed_cells, 2) << what;
+      EXPECT_EQ(resumed.cells[0].resumed_runs, 0) << what;
+      ExpectSameBits(resumed.baseline_accuracy, clean.baseline_accuracy,
+                     "baseline, " + what);
+      ExpectSameBits(resumed.cells[0].accuracy, clean.cells[0].accuracy,
+                     "noise_1.0, " + what);
+      EXPECT_EQ(resumed.cells[1].failed_runs, 1) << what;
+      EXPECT_EQ(resumed.cells[1].last_error.code(),
+                core::StatusCode::kInjectedFault)
+          << what;
+    }
+
+    // The polls keep their order: an injected deadline at the n-th poll
+    // of the noise_1.0 cell names that poll, and fails that cell alone.
+    const char* const kPolls[] = {"cell.start", "cell.start", "rocket.fit",
+                                  "rocket.ridge"};
+    for (int poll = 1; poll <= 4; ++poll) {
+      const std::string what = at + ", noise_1.0 poll " + std::to_string(poll);
+      FaultSpecGuard faults("cancel.deadline@cell/toy/run0/noise_1.0:" +
+                            std::to_string(poll));
+      const DatasetRow row = RunToyGrid(RocketConfig(/*runs=*/1), data);
+      EXPECT_EQ(row.cells[0].failed_runs, 1) << what;
+      EXPECT_EQ(row.cells[0].last_error.code(),
+                core::StatusCode::kDeadlineExceeded)
+          << what;
+      EXPECT_NE(row.cells[0].last_error.ToString().find(kPolls[poll - 1]),
+                std::string::npos)
+          << what << ": " << row.cells[0].last_error.ToString();
+      ExpectSameBits(row.baseline_accuracy, clean.baseline_accuracy,
+                     "baseline, " + what);
+      ExpectSameBits(row.cells[1].accuracy, clean.cells[1].accuracy,
+                     "smote, " + what);
+    }
+  }
 }
 
 TEST(FaultTolerance, TrainerDivergenceRecoversWithinBudget) {

@@ -5,15 +5,25 @@
 //     resumed against the same journal reproduces the uninterrupted
 //     dump byte for byte, at 1, 2 and 8 threads;
 //   - a graceful injected stop exits cleanly with the row marked
-//     interrupted, and resuming completes to the identical dump.
+//     interrupted, and resuming completes to the identical dump;
+//   - in process: a ROCKET run transforms each base, test and synthetic
+//     row once, and a run restored whole from the journal transforms none.
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "augment/noise.h"
+#include "augment/oversample.h"
+#include "core/trace.h"
+#include "eval/experiment.h"
 
 namespace tsaug::eval {
 namespace {
@@ -122,6 +132,56 @@ TEST(JournalResume, GracefulStopJournalsCompletedRunsAndResumesIdentically) {
   const std::string resumed = ReadAll(resumed_out);
   EXPECT_NE(resumed.find("interrupted=0"), std::string::npos);
   EXPECT_EQ(resumed, ReadAll(straight_out));
+}
+
+// Each ROCKET run transforms its base and test rows once, into features
+// every cell shares, and each cell transforms only its own synthetic rows:
+// the transform.rocket.rows counter is n_train + n_test + the synthetic
+// rows, per run. A rerun whose cells all come back from the journal
+// builds no shared features at all.
+TEST(JournalResume, RocketRowsTransformedOnceAndNotAgainOnResume) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 3;
+  spec.train_counts = {12, 7, 4};
+  spec.test_counts = {5, 5, 5};
+  spec.num_channels = 2;
+  spec.length = 20;
+  spec.seed = 3;
+  const data::TrainTest data = data::MakeSynthetic(spec);
+  ExperimentConfig config;
+  config.model = ModelKind::kRocket;
+  config.runs = 2;
+  config.rocket_kernels = 40;
+  config.seed = 5;
+  config.journal_path = TempPath("resume_rows.jsonl");
+  std::filesystem::remove(config.journal_path);
+  auto techniques = [] {
+    return std::vector<std::shared_ptr<augment::Augmenter>>{
+        std::make_shared<augment::NoiseInjection>(1.0),
+        std::make_shared<augment::Smote>()};
+  };
+  // Balancing tops every class up to the majority, once per technique.
+  const std::vector<int> counts = data.train.ClassCounts();
+  std::int64_t synthetic = 0;
+  for (int count : counts) synthetic += 12 - count;
+  synthetic *= 2;
+
+  const bool trace_was_enabled = core::trace::Enabled();
+  core::trace::Enable();
+  core::trace::Reset();
+  const DatasetRow row = RunDatasetGrid("toy", data, techniques(), config);
+  EXPECT_EQ(row.baseline_failed_runs, 0);
+  for (const CellResult& cell : row.cells) EXPECT_EQ(cell.failed_runs, 0);
+  EXPECT_EQ(core::trace::CounterValue("transform.rocket.rows"),
+            config.runs * (data.train.size() + data.test.size() + synthetic));
+  EXPECT_EQ(core::trace::CounterValue("eval.rocket_shared_miss"), 0);
+
+  core::trace::Reset();
+  const DatasetRow resumed = RunDatasetGrid("toy", data, techniques(), config);
+  EXPECT_EQ(resumed.resumed_cells, 6);
+  EXPECT_EQ(resumed.baseline_accuracy, row.baseline_accuracy);
+  EXPECT_EQ(core::trace::CounterValue("transform.rocket.rows"), 0);
+  if (!trace_was_enabled) core::trace::Disable();
 }
 
 }  // namespace

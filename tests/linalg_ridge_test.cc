@@ -1,9 +1,11 @@
 #include "linalg/ridge.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/faultpoint.h"
 #include "core/rng.h"
 
 namespace tsaug::linalg {
@@ -157,6 +159,150 @@ TEST(RidgeClassifierCV, WideFeatureMatrix) {
   RidgeClassifierCV clf;
   clf.Fit(x, labels, 2);
   EXPECT_GT(clf.Score(x, labels), 0.9);
+}
+
+/// Sum of squared leave-one-out residuals by brute force: n ridge refits,
+/// each on every row but one, scored on the row left out.
+double ExplicitLooError(const Matrix& x, const Matrix& y, double alpha) {
+  const int n = x.rows();
+  double error = 0.0;
+  for (int out = 0; out < n; ++out) {
+    Matrix x_rest(n - 1, x.cols());
+    Matrix y_rest(n - 1, y.cols());
+    Matrix x_out(1, x.cols());
+    for (int i = 0, r = 0; i < n; ++i) {
+      Matrix& xd = i == out ? x_out : x_rest;
+      const int row = i == out ? 0 : r++;
+      for (int j = 0; j < x.cols(); ++j) xd(row, j) = x(i, j);
+      if (i != out) {
+        for (int k = 0; k < y.cols(); ++k) y_rest(row, k) = y(i, k);
+      }
+    }
+    RidgeRegression model;
+    EXPECT_TRUE(model.TryFit(x_rest, y_rest, alpha).ok());
+    const Matrix predicted = model.Predict(x_out);
+    for (int k = 0; k < y.cols(); ++k) {
+      const double residual = y(out, k) - predicted(0, k);
+      error += residual * residual;
+    }
+  }
+  return error;
+}
+
+void ExpectLoocvMatchesRefits(const Matrix& x, const std::vector<int>& labels,
+                              int num_classes) {
+  const std::vector<double> alphas = {1e-2, 0.3, 1.0, 10.0, 300.0};
+  RidgeClassifierCV clf(alphas);
+  ASSERT_TRUE(clf.TryFit(x, labels, num_classes).ok());
+  ASSERT_FALSE(clf.loocv_fell_back());
+  ASSERT_EQ(clf.loo_errors().size(), alphas.size());
+  const Matrix y = EncodeLabels(labels, num_classes);
+  size_t best = 0;
+  for (size_t a = 0; a < alphas.size(); ++a) {
+    const double explicit_error = ExplicitLooError(x, y, alphas[a]);
+    EXPECT_NEAR(clf.loo_errors()[a], explicit_error, 1e-6 * explicit_error)
+        << "alpha " << alphas[a];
+    if (clf.loo_errors()[a] < clf.loo_errors()[best]) best = a;
+  }
+  EXPECT_EQ(clf.best_alpha(), alphas[best]);
+}
+
+// Oracle for the closed-form LOOCV shortcut (eigendecomposition of the
+// centred Gram, intercept direction excluded): it must equal n explicit
+// leave-one-out refits, intercept re-estimated each time.
+TEST(RidgeClassifierCV, LoocvShortcutMatchesExplicitRefitsDual) {
+  core::Rng rng(21);
+  Matrix x(14, 40);  // more features than samples: dual solve
+  std::vector<int> labels;
+  for (int i = 0; i < x.rows(); ++i) {
+    labels.push_back(i % 3);
+    for (int j = 0; j < x.cols(); ++j) {
+      x(i, j) = rng.Normal() + 0.5 * (i % 3) * (j % 2);
+    }
+  }
+  ExpectLoocvMatchesRefits(x, labels, 3);
+}
+
+TEST(RidgeClassifierCV, LoocvShortcutMatchesExplicitRefitsPrimal) {
+  core::Rng rng(22);
+  std::vector<int> labels;
+  for (int i = 0; i < 24; ++i) labels.push_back(i % 2);
+  Matrix x(24, 5);  // more samples than features: primal solve
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int j = 0; j < x.cols(); ++j) {
+      x(i, j) = rng.Normal() + (j == 0 ? 1.5 * labels[static_cast<size_t>(i)] : 0.0);
+    }
+  }
+  ExpectLoocvMatchesRefits(x, labels, 2);
+}
+
+// Repeated rows (random oversampling, SMOTE at gap 0) give a wide matrix
+// a null space of more than one dimension too.
+TEST(RidgeClassifierCV, LoocvShortcutMatchesExplicitRefitsRepeatedRows) {
+  core::Rng rng(25);
+  Matrix x(12, 30);
+  std::vector<int> labels;
+  for (int i = 0; i < x.rows(); ++i) {
+    labels.push_back(i % 2);
+    for (int j = 0; j < x.cols(); ++j) {
+      x(i, j) = i >= 9 ? x(i - 9, j) : rng.Normal() + 0.7 * (i % 2);
+    }
+  }
+  ExpectLoocvMatchesRefits(x, labels, 2);
+}
+
+/// The classifier's final model must be the plain regression at the
+/// selected alpha, bit for bit: the shared centring and Gram are a
+/// reuse, not a different computation.
+void ExpectFinalModelIsPlainRegression(const RidgeClassifierCV& clf,
+                                       const Matrix& x,
+                                       const std::vector<int>& labels,
+                                       int num_classes) {
+  RidgeRegression reference;
+  ASSERT_TRUE(reference
+                  .TryFit(x, EncodeLabels(labels, num_classes),
+                          clf.best_alpha())
+                  .ok());
+  EXPECT_EQ(clf.model().weights(), reference.weights());
+  EXPECT_EQ(clf.model().intercept(), reference.intercept());
+  EXPECT_EQ(clf.DecisionFunction(x), reference.Predict(x));
+}
+
+TEST(RidgeClassifierCV, FinalModelBitIdenticalToRegressionAtBestAlpha) {
+  core::Rng rng(23);
+  std::vector<int> labels;
+  for (int i = 0; i < 16; ++i) labels.push_back(i % 4);
+  Matrix wide(16, 60);
+  for (double& v : wide.data()) v = rng.Normal();
+  Matrix tall = GaussianBlobs(labels, 2.0, rng);
+  for (const Matrix* x : {&wide, &tall}) {
+    RidgeClassifierCV clf;
+    ASSERT_TRUE(clf.TryFit(*x, labels, 4).ok());
+    EXPECT_EQ(clf.solve_retries(), 0);
+    ExpectFinalModelIsPlainRegression(clf, *x, labels, 4);
+  }
+}
+
+TEST(RidgeClassifierCV, EscalatedFinalModelBitIdenticalToRegression) {
+  core::Rng rng(24);
+  std::vector<int> labels;
+  for (int i = 0; i < 12; ++i) labels.push_back(i % 2);
+  Matrix x(12, 30);
+  for (double& v : x.data()) v = rng.Normal();
+
+  RidgeClassifierCV unfaulted;
+  ASSERT_TRUE(unfaulted.TryFit(x, labels, 2).ok());
+
+  // The first final solve fails: alpha escalates tenfold and the retry
+  // reuses the same centring and Gram.
+  core::fault::SetSpec("ridge.solve:1");
+  RidgeClassifierCV clf;
+  const core::Status status = clf.TryFit(x, labels, 2);
+  core::fault::Clear();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(clf.solve_retries(), 1);
+  EXPECT_EQ(clf.best_alpha(), unfaulted.best_alpha() * 10.0);
+  ExpectFinalModelIsPlainRegression(clf, x, labels, 2);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // ParallelFor call sites only partition independent output slices and
 // all shared-stream RNG draws stay in serial setup phases.
 
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,9 +20,13 @@
 #include "classify/minirocket.h"
 #include "classify/nearest_neighbor.h"
 #include "classify/rocket.h"
+#include "core/faultpoint.h"
+#include "core/kernels/kernels.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/trace.h"
+#include "core/validate.h"
+#include "data/scenarios.h"
 #include "eval/experiment.h"
 #include "linalg/distance.h"
 #include "linalg/knn.h"
@@ -247,6 +254,253 @@ TEST(ParallelDeterminism, TracingEnabledGridIdentical) {
   // The traced runs actually recorded something.
   EXPECT_GT(core::trace::CounterValue("eval.cells"), 0);
 
+  if (!trace_was_enabled) core::trace::Disable();
+}
+
+class BackendGuard {
+ public:
+  BackendGuard() : saved_(core::kernels::ActiveBackend()) {}
+  ~BackendGuard() { core::kernels::SetBackend(saved_); }
+
+ private:
+  core::kernels::Backend saved_;
+};
+
+std::vector<std::shared_ptr<augment::Augmenter>> SharedGridTechniques() {
+  augment::TimeGanConfig timegan;
+  timegan.embedding_iterations = 2;
+  timegan.supervised_iterations = 2;
+  timegan.joint_iterations = 1;
+  // Fresh augmenters per grid: they cache per-train-set state.
+  return {std::make_shared<augment::NoiseInjection>(1.0),
+          std::make_shared<augment::Smote>(),
+          std::make_shared<augment::TimeGanAugmenter>(
+              timegan, std::make_unique<augment::Smote>())};
+}
+
+/// One cell of a run replayed through public calls: OK with its score, or
+/// the Status that failed it.
+struct DirectCell {
+  core::Status status;
+  double score = 0.0;
+};
+
+/// Replays run 0 of TryRunDatasetGrid on `name` cell by cell: the same
+/// preflight repair, augmentation seeds and protocol, and fault domains,
+/// then a plain TryTrainAndScore (no shared features) on each cell's
+/// training set. Cell 0 is the baseline.
+std::vector<DirectCell> DirectRunCells(const std::string& name,
+                                       const data::TrainTest& data,
+                                       const eval::ExperimentConfig& config) {
+  std::uint64_t repair_seed = config.seed;
+  for (char ch : name) {
+    repair_seed = repair_seed * 1099511628211ull +
+                  static_cast<unsigned char>(ch);
+  }
+  core::ValidateOptions options;
+  options.min_length = 2;
+  core::StatusOr<core::RepairOutcome> repaired =
+      core::TryRepairTrainTest(data.train, data.test, options, repair_seed);
+  EXPECT_TRUE(repaired.ok()) << repaired.status().ToString();
+  if (!repaired.ok()) return {};
+  const core::Dataset& train = repaired->train;
+  const core::Dataset& test = repaired->test;
+  const std::uint64_t run_seed = config.seed + 7919ull;
+  const std::string domain = "cell/" + name + "/run0/";
+
+  auto score = [&](const core::Dataset& cell_train) {
+    DirectCell cell;
+    core::StatusOr<eval::ScoreOutcome> outcome = eval::TryTrainAndScore(
+        config, cell_train, core::Dataset(), test, run_seed);
+    if (outcome.ok()) {
+      cell.score = outcome->accuracy;
+    } else {
+      cell.status = outcome.status();
+    }
+    return cell;
+  };
+
+  std::vector<DirectCell> cells;
+  {
+    core::fault::ScopedDomain scoped(domain + "baseline");
+    cells.push_back(score(train));
+  }
+  const auto techniques = SharedGridTechniques();
+  for (size_t i = 0; i < techniques.size(); ++i) {
+    augment::Augmenter& technique = *techniques[i];
+    core::fault::ScopedDomain scoped(domain + technique.name());
+    core::Rng rng(run_seed ^ (0xabcdull + i));
+    core::StatusOr<core::Dataset> augmented =
+        augment::TryBalanceWithAugmenter(train, technique, rng);
+    if (augmented.ok() && augmented->size() == train.size()) {
+      augmented = augment::TryExpandWithAugmenter(train, technique, 0.5, rng);
+    }
+    if (!augmented.ok()) {
+      cells.push_back({augmented.status(), 0.0});
+      continue;
+    }
+    cells.push_back(score(*augmented));
+  }
+  return cells;
+}
+
+/// Runs a one-run ROCKET grid over `name` at 1/2/8 threads on both kernel
+/// backends and checks every cell against DirectRunCells at the same
+/// setting. `misses` receives how many cells fell back from the run's
+/// shared ROCKET features to a full transform.
+void ExpectGridMatchesDirectCalls(const std::string& name,
+                                  const data::TrainTest& data,
+                                  std::int64_t* misses) {
+  ThreadCountGuard thread_guard;
+  BackendGuard backend_guard;
+  const bool trace_was_enabled = core::trace::Enabled();
+  core::trace::Enable();
+  core::trace::Reset();
+  eval::ExperimentConfig config;
+  config.model = eval::ModelKind::kRocket;
+  config.runs = 1;
+  config.rocket_kernels = 60;
+  config.seed = 9;
+  for (core::kernels::Backend backend :
+       {core::kernels::Backend::kScalar, core::kernels::Backend::kSimd}) {
+    core::kernels::SetBackend(backend);
+    for (int threads : kThreadCounts) {
+      core::SetNumThreads(threads);
+      const std::string what = name + ", " +
+                               core::kernels::BackendName(backend) + ", " +
+                               std::to_string(threads) + " threads";
+      const eval::DatasetRow row =
+          eval::RunDatasetGrid(name, data, SharedGridTechniques(), config);
+      const std::vector<DirectCell> direct = DirectRunCells(name, data, config);
+      ASSERT_EQ(direct.size(), row.cells.size() + 1) << what;
+      for (size_t c = 0; c < direct.size(); ++c) {
+        const bool grid_failed = c == 0 ? row.baseline_failed_runs > 0
+                                        : row.cells[c - 1].failed_runs > 0;
+        const double grid_score =
+            c == 0 ? row.baseline_accuracy : row.cells[c - 1].accuracy;
+        const std::string cell =
+            what + ", cell " + (c == 0 ? "baseline" : row.cells[c - 1].technique);
+        EXPECT_EQ(grid_failed, !direct[c].status.ok())
+            << cell << ": " << direct[c].status.ToString();
+        if (!grid_failed && direct[c].status.ok()) {
+          EXPECT_EQ(std::memcmp(&grid_score, &direct[c].score, sizeof(double)),
+                    0)
+              << cell << ": grid " << grid_score << ", direct "
+              << direct[c].score;
+        }
+      }
+    }
+  }
+  *misses = core::trace::CounterValue("eval.rocket_shared_miss");
+  if (!trace_was_enabled) core::trace::Disable();
+}
+
+// The grid computes each run's ROCKET features of the base and test rows
+// once and shares them across cells; that must be invisible in the
+// scores. Under the _faults variant the targeted cells fail in the grid
+// and in the replay alike.
+TEST(ParallelDeterminism, GridScoresMatchDirectCalls) {
+  std::int64_t misses = -1;
+  ExpectGridMatchesDirectCalls("toy", SmallData(2), &misses);
+  // Fixed-length data: every cell extends the base rows.
+  EXPECT_EQ(misses, 0);
+}
+
+// Ragged series share too: every row is resampled to the run's
+// max_length on its own, and the synthetic rows never raise it here.
+TEST(ParallelDeterminism, VariableLengthGridScoresMatchDirectCalls) {
+  std::int64_t misses = -1;
+  ExpectGridMatchesDirectCalls(
+      "varlen_tiny_mix", data::MakeScenarioDataset("varlen_tiny_mix", 5),
+      &misses);
+  EXPECT_EQ(misses, 0);
+}
+
+// A training set that does not extend the shared rows bit for bit, or a
+// different test set, kernel count or seed, takes the full-transform
+// path, with the same score either way.
+TEST(ParallelDeterminism, SharedFeaturesFallBackUnlessTrainingSetExtendsBase) {
+  ThreadCountGuard guard;
+  const bool trace_was_enabled = core::trace::Enabled();
+  core::trace::Enable();
+  const data::TrainTest data = data::MakeScenarioDataset("varlen_tiny_mix", 5);
+  const core::Dataset& base = data.train;
+  eval::ExperimentConfig config;
+  config.model = eval::ModelKind::kRocket;
+  config.rocket_kernels = 60;
+  const std::uint64_t run_seed = 77;
+  const classify::RocketRunFeatures shared(config.rocket_kernels, run_seed,
+                                           base, data.test);
+
+  // Two synthetic rows no longer than the base: the shared path.
+  core::Dataset extended = base;
+  extended.Add(base.series(1), base.label(1));
+  extended.Add(base.series(2), base.label(2));
+  // A synthetic row longer than every base row raises max_length.
+  core::Dataset longer = base;
+  longer.Add(core::TimeSeries(base.num_channels(), base.max_length() + 5, 0.3),
+             0);
+  // A base row rewritten (a NaN where the base has a number).
+  core::Dataset rewritten = extended;
+  rewritten.mutable_series(0).at(0, 0) =
+      std::numeric_limits<double>::quiet_NaN();
+  // The first base label changed, and the first two base rows swapped.
+  core::Dataset relabelled(base.num_classes());
+  for (int i = 0; i < extended.size(); ++i) {
+    const int label = extended.label(i);
+    relabelled.Add(extended.series(i),
+                   i == 0 ? (label + 1) % base.num_classes() : label);
+  }
+  core::Dataset swapped = base.Subset({1, 0});
+  for (int i = 2; i < extended.size(); ++i) {
+    swapped.Add(extended.series(i), extended.label(i));
+  }
+  const core::Dataset other_test = data.test.Subset({1, 2, 3});
+
+  struct Case {
+    std::string what;
+    const core::Dataset* train;
+    const core::Dataset* test;
+    int kernels;
+    std::uint64_t seed;
+    int misses;
+  };
+  const std::vector<Case> cases = {
+      {"extended", &extended, &data.test, 60, run_seed, 0},
+      {"base itself", &base, &data.test, 60, run_seed, 0},
+      {"longer", &longer, &data.test, 60, run_seed, 1},
+      {"rewritten", &rewritten, &data.test, 60, run_seed, 1},
+      {"relabelled", &relabelled, &data.test, 60, run_seed, 1},
+      {"rows swapped", &swapped, &data.test, 60, run_seed, 1},
+      {"other test set", &extended, &other_test, 60, run_seed, 1},
+      {"other kernel count", &extended, &data.test, 61, run_seed, 1},
+      {"other seed", &extended, &data.test, 60, run_seed + 1, 1},
+  };
+  for (int threads : kThreadCounts) {
+    core::SetNumThreads(threads);
+    for (const Case& c : cases) {
+      const std::string what = c.what + ", " + std::to_string(threads) +
+                               " threads";
+      eval::ExperimentConfig case_config = config;
+      case_config.rocket_kernels = c.kernels;
+      core::trace::Reset();
+      core::StatusOr<eval::ScoreOutcome> with_shared =
+          eval::TryTrainAndScore(case_config, *c.train, core::Dataset(),
+                                 *c.test, c.seed, &shared);
+      EXPECT_EQ(core::trace::CounterValue("eval.rocket_shared_miss"),
+                c.misses)
+          << what;
+      core::StatusOr<eval::ScoreOutcome> plain = eval::TryTrainAndScore(
+          case_config, *c.train, core::Dataset(), *c.test, c.seed);
+      ASSERT_TRUE(with_shared.ok()) << what << with_shared.status().ToString();
+      ASSERT_TRUE(plain.ok()) << what << plain.status().ToString();
+      EXPECT_EQ(std::memcmp(&with_shared->accuracy, &plain->accuracy,
+                            sizeof(double)),
+                0)
+          << what;
+      EXPECT_EQ(with_shared->retries, plain->retries) << what;
+    }
+  }
   if (!trace_was_enabled) core::trace::Disable();
 }
 

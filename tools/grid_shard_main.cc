@@ -9,7 +9,7 @@
 //   grid_shard_main --shards 0 --out PATH                     golden (one
 //                                                             process, no
 //                                                             sharding)
-//   grid_shard_main --worker --shard i/N --attempt K \
+//   grid_shard_main --worker --shard i/N --attempt K
 //                   --journal PATH                            (internal)
 //
 // Supervisor flags:

@@ -13,7 +13,7 @@
 //   stress_grid_main --shards 0 --out PATH                    golden (one
 //                                                             process, no
 //                                                             sharding)
-//   stress_grid_main --worker --shard i/N --attempt K \
+//   stress_grid_main --worker --shard i/N --attempt K
 //                    --journal PATH                           (internal)
 //
 // Supervisor flags (same semantics as grid_shard_main):
