@@ -26,21 +26,23 @@ int main() {
     std::printf("%-24s", name.c_str());
 
     const std::uint64_t run_seed = settings.seed + 7919;
-    const double baseline = tsaug::eval::TrainAndScore(
-        config, data.train, {}, data.test, run_seed);
+    const double baseline = tsaug::eval::TryTrainAndScore(
+        config, data.train, {}, data.test, run_seed).value().accuracy;
     std::printf(" %9.2f", 100.0 * baseline);
 
     for (double extra : {0.0, 0.5, 1.0}) {
       tsaug::augment::Smote smote;
       tsaug::core::Rng rng(run_seed);
       tsaug::core::Dataset augmented =
-          tsaug::augment::BalanceWithAugmenter(data.train, smote, rng);
+          tsaug::augment::TryBalanceWithAugmenter(data.train, smote, rng)
+              .value();
       if (extra > 0.0) {
         augmented =
-            tsaug::augment::ExpandWithAugmenter(augmented, smote, extra, rng);
+            tsaug::augment::TryExpandWithAugmenter(augmented, smote, extra, rng)
+                .value();
       }
-      const double accuracy = tsaug::eval::TrainAndScore(
-          config, augmented, {}, data.test, run_seed);
+      const double accuracy = tsaug::eval::TryTrainAndScore(
+          config, augmented, {}, data.test, run_seed).value().accuracy;
       std::printf(" %9.2f", 100.0 * accuracy);
     }
     std::printf("\n");

@@ -24,13 +24,16 @@ double ScoreWith(const tsaug::eval::ExperimentConfig& config,
   if (augmenter != nullptr) {
     augmenter->Invalidate();
     tsaug::core::Rng rng(seed);
-    effective = tsaug::augment::BalanceWithAugmenter(train, *augmenter, rng);
+    effective =
+        tsaug::augment::TryBalanceWithAugmenter(train, *augmenter, rng).value();
     if (effective.size() == train.size()) {
       effective =
-          tsaug::augment::ExpandWithAugmenter(train, *augmenter, 0.5, rng);
+          tsaug::augment::TryExpandWithAugmenter(train, *augmenter, 0.5, rng)
+              .value();
     }
   }
-  return tsaug::eval::TrainAndScore(config, effective, {}, test, seed);
+  return tsaug::eval::TryTrainAndScore(config, effective, {}, test, seed)
+      .value().accuracy;
 }
 
 }  // namespace

@@ -15,8 +15,13 @@
 
 int main() {
   const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
-  const tsaug::eval::StudyResult study =
+  const tsaug::core::StatusOr<tsaug::eval::StudyResult> result =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return 1;
+  }
+  const tsaug::eval::StudyResult& study = *result;
 
   // Properties of the same generated datasets.
   std::vector<double> gains;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (double level : {1.0, 3.0, 5.0}) {
     tsaug::augment::NoiseInjection noise(level);
     tsaug::core::Rng rng(7);
-    const auto generated = noise.Generate(data, 1, 12, rng);
+    const auto generated = noise.TryGenerate(data, 1, 12, rng).value();
     char tag[32];
     std::snprintf(tag, sizeof(tag), "generated_l%.0f", level);
     tsaug::bench::PrintPoints(tag, generated);
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     tsaug::augment::NoiseInjection noise(level);
     tsaug::core::Rng rng(13);
     const tsaug::core::Dataset balanced =
-        tsaug::augment::BalanceWithAugmenter(data, noise, rng);
+        tsaug::augment::TryBalanceWithAugmenter(data, noise, rng).value();
     std::printf("  balanced with noise_%.1f:     %.3f\n", level,
                 score(balanced));
   }

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
 
   tsaug::augment::Smote smote;
   tsaug::core::Rng rng(5);
-  tsaug::bench::PrintPoints("generated_smote", smote.Generate(data, 1, 12, rng));
+  tsaug::bench::PrintPoints("generated_smote",
+                            smote.TryGenerate(data, 1, 12, rng).value());
 
   std::printf("\nBoundary violations out of 500 generated minority points:\n");
   tsaug::augment::Smote smote_counter;

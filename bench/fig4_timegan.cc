@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "augment/timegan.h"
+#include "core/check.h"
 #include "core/rng.h"
 
 int main() {
@@ -38,7 +39,8 @@ int main() {
 
   std::printf("FIGURE 4: TimeGAN sampling from the class posterior\n");
   tsaug::augment::TimeGan gan(config);
-  gan.Fit(real);
+  const tsaug::core::Status fitted = gan.TryFit(real);
+  TSAUG_CHECK_MSG(fitted.ok(), "%s", fitted.ToString().c_str());
   std::printf("training diagnostics: reconstruction %.3f, supervised %.4f, "
               "generator %.3f, discriminator %.3f\n",
               gan.diagnostics().reconstruction_loss,

@@ -26,12 +26,12 @@ int main(int argc, char** argv) {
   {
     tsaug::core::Rng rng(8);
     tsaug::bench::PrintPoints("generated_plain_noise",
-                              plain.Generate(data, 1, 12, rng));
+                              plain.TryGenerate(data, 1, 12, rng).value());
   }
   {
     tsaug::core::Rng rng(8);
     tsaug::bench::PrintPoints("generated_range_noise",
-                              range.Generate(data, 1, 12, rng));
+                              range.TryGenerate(data, 1, 12, rng).value());
   }
 
   const int plain_violations =

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
               num_clusters, clusters.size());
 
   tsaug::core::Rng rng(6);
-  const auto generated = ohit.Generate(data, 1, 24, rng);
+  const auto generated = ohit.TryGenerate(data, 1, 24, rng).value();
   tsaug::bench::PrintPoints("generated_ohit", generated, 24);
 
   // Quantify mode preservation vs naive interpolation: fraction of samples
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   tsaug::augment::RandomInterpolation naive;
   tsaug::core::Rng rng2(6);
   int naive_gap = 0;
-  const auto naive_generated = naive.Generate(data, 1, 24, rng2);
+  const auto naive_generated = naive.TryGenerate(data, 1, 24, rng2).value();
   for (const auto& p : naive_generated) naive_gap += in_gap(p) ? 1 : 0;
 
   std::printf("\nSamples landing between the modes (out of 24):\n");

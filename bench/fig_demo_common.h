@@ -105,8 +105,8 @@ inline int CountViolations(augment::Augmenter& augmenter,
                            int count, std::uint64_t seed) {
   core::Rng rng(seed);
   int violations = 0;
-  for (const core::TimeSeries& p :
-       augmenter.Generate(data, 1, count, rng)) {
+  const auto generated = augmenter.TryGenerate(data, 1, count, rng).value();
+  for (const core::TimeSeries& p : generated) {
     violations += CrossesBoundary(p, 1, separation) ? 1 : 0;
   }
   return violations;

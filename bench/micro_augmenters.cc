@@ -11,6 +11,7 @@
 #include "augment/oversample.h"
 #include "augment/preserving.h"
 #include "augment/timegan.h"
+#include "core/check.h"
 #include "data/synthetic.h"
 
 namespace {
@@ -31,7 +32,7 @@ void RunGenerate(benchmark::State& state, AugmenterT& augmenter) {
   static const tsaug::core::Dataset train = Workload();
   tsaug::core::Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(augmenter.Generate(train, 2, 8, rng));
+    benchmark::DoNotOptimize(augmenter.TryGenerate(train, 2, 8, rng).value());
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
@@ -76,7 +77,8 @@ void BM_TimeGanFit(benchmark::State& state) {
   config.max_sequence_length = 16;
   for (auto _ : state) {
     tsaug::augment::TimeGan gan(config);
-    gan.Fit(class_series);
+    const tsaug::core::Status fitted = gan.TryFit(class_series);
+    TSAUG_CHECK_MSG(fitted.ok(), "%s", fitted.ToString().c_str());
     benchmark::DoNotOptimize(gan.fitted());
   }
 }
@@ -96,7 +98,8 @@ void BM_TimeGanSample(benchmark::State& state) {
   config.joint_iterations = 8;
   config.max_sequence_length = 16;
   tsaug::augment::TimeGan gan(config);
-  gan.Fit(class_series);
+  const tsaug::core::Status fitted = gan.TryFit(class_series);
+  TSAUG_CHECK_MSG(fitted.ok(), "%s", fitted.ToString().c_str());
   tsaug::core::Rng rng(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gan.Sample(8, rng));

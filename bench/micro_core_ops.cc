@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "classify/rocket.h"
+#include "core/check.h"
 #include "core/rng.h"
 #include "fft/fft.h"
 #include "linalg/distance.h"
@@ -62,7 +63,8 @@ void BM_RidgeFit(benchmark::State& state) {
   for (int i = 0; i < n; ++i) labels[static_cast<size_t>(i)] = i % 2;
   for (auto _ : state) {
     tsaug::linalg::RidgeClassifierCV clf;
-    clf.Fit(x, labels, 2);
+    const tsaug::core::Status fitted = clf.TryFit(x, labels, 2);
+    TSAUG_CHECK_MSG(fitted.ok(), "%s", fitted.ToString().c_str());
     benchmark::DoNotOptimize(clf.best_alpha());
   }
 }

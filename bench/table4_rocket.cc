@@ -21,8 +21,13 @@ int main(int argc, char** argv) {
   tsaug::core::InstallStopSignalHandlers();
   tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
   tsaug::eval::ApplyGridFlags(argc, argv, settings);
-  const tsaug::eval::StudyResult result =
+  const tsaug::core::StatusOr<tsaug::eval::StudyResult> study =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);
+  if (!study.ok()) {
+    std::cerr << study.status().ToString() << "\n";
+    return 1;
+  }
+  const tsaug::eval::StudyResult& result = *study;
   std::cout << "\nTABLE IV: Accuracy for ROCKET baseline model, and relative "
                "improvement\n";
   if (result.rows.empty()) {

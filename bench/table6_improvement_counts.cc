@@ -10,14 +10,22 @@
 int main() {
   const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
   std::cerr << "Running the ROCKET grid...\n";
-  const tsaug::eval::StudyResult rocket =
+  const tsaug::core::StatusOr<tsaug::eval::StudyResult> rocket =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);
+  if (!rocket.ok()) {
+    std::cerr << rocket.status().ToString() << "\n";
+    return 1;
+  }
   std::cerr << "Running the InceptionTime grid...\n";
-  const tsaug::eval::StudyResult inception =
+  const tsaug::core::StatusOr<tsaug::eval::StudyResult> inception =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kInceptionTime);
+  if (!inception.ok()) {
+    std::cerr << inception.status().ToString() << "\n";
+    return 1;
+  }
 
   std::cout << "\nTABLE VI: Count of improvement occurrences over baseline\n";
-  tsaug::eval::PrintImprovementCounts(rocket, inception, std::cout);
+  tsaug::eval::PrintImprovementCounts(*rocket, *inception, std::cout);
   std::cout << "\nPaper reference: SMOTE 8 / 8, TimeGAN 7 / 4, Noise 7 / 8\n";
   return 0;
 }

@@ -32,7 +32,8 @@ int main() {
        tsaug::augment::BuildTaxonomy(/*include_timegan=*/false)) {
     tsaug::core::Rng rng(13);
     const std::vector<tsaug::core::TimeSeries> generated =
-        entry.augmenter->Generate(train, /*label=*/0, /*count=*/1, rng);
+        entry.augmenter->TryGenerate(train, /*label=*/0, /*count=*/1, rng)
+            .value();
     const tsaug::core::TimeSeries& series = generated.front();
 
     const std::string file = entry.augmenter->name() + ".csv";

@@ -72,7 +72,9 @@ int main() {
     tsaug::core::Dataset train = data.train;
     if (augmenter != nullptr) {
       tsaug::core::Rng rng(17);
-      train = tsaug::augment::BalanceWithAugmenter(data.train, *augmenter, rng);
+      train =
+          tsaug::augment::TryBalanceWithAugmenter(data.train, *augmenter, rng)
+              .value();
     }
     std::printf("%-14s %9.2f%% %14.2f%% %9.2f%%\n", name.c_str(),
                 100.0 * RocketScore(train, data.test),

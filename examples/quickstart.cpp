@@ -33,7 +33,7 @@ int main() {
   tsaug::augment::Smote smote;
   tsaug::core::Rng rng(42);
   const tsaug::core::Dataset balanced =
-      tsaug::augment::BalanceWithAugmenter(data.train, smote, rng);
+      tsaug::augment::TryBalanceWithAugmenter(data.train, smote, rng).value();
   std::printf("after SMOTE balancing: %d series (degree %.2f)\n",
               balanced.size(), tsaug::core::ImbalanceDegree(balanced));
 

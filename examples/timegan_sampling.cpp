@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "augment/timegan.h"
+#include "core/check.h"
 #include "core/io.h"
 #include "data/synthetic.h"
 
@@ -37,7 +38,8 @@ int main() {
   config.max_sequence_length = 20;
   config.seed = 4;
   tsaug::augment::TimeGan gan(config);
-  gan.Fit(minority);
+  const tsaug::core::Status fitted = gan.TryFit(minority);
+  TSAUG_CHECK_MSG(fitted.ok(), "%s", fitted.ToString().c_str());
   std::printf("phase losses: reconstruction %.3f / supervised %.4f / "
               "generator %.3f / discriminator %.3f\n",
               gan.diagnostics().reconstruction_loss,

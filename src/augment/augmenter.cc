@@ -75,16 +75,6 @@ core::StatusOr<std::vector<core::TimeSeries>> Augmenter::TryGenerate(
   return out;
 }
 
-std::vector<core::TimeSeries> Augmenter::Generate(const core::Dataset& train,
-                                                  int label, int count,
-                                                  core::Rng& rng) {
-  core::StatusOr<std::vector<core::TimeSeries>> out =
-      TryGenerate(train, label, count, rng);
-  TSAUG_CHECK_MSG(out.ok(), "augment.%s: %s", name().c_str(),
-                  out.status().ToString().c_str());
-  return std::move(out).value();
-}
-
 core::StatusOr<std::vector<core::TimeSeries>> TransformAugmenter::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
   TSAUG_CHECK(count >= 0);
@@ -152,14 +142,6 @@ core::StatusOr<core::Dataset> TryBalanceWithAugmenter(
   return AugmentClasses(train, augmenter, requests, rng, "balance");
 }
 
-core::Dataset BalanceWithAugmenter(const core::Dataset& train,
-                                   Augmenter& augmenter, core::Rng& rng) {
-  core::StatusOr<core::Dataset> out =
-      TryBalanceWithAugmenter(train, augmenter, rng);
-  TSAUG_CHECK_MSG(out.ok(), "%s", out.status().ToString().c_str());
-  return std::move(out).value();
-}
-
 core::StatusOr<core::Dataset> TryExpandWithAugmenter(
     const core::Dataset& train, Augmenter& augmenter, double factor,
     core::Rng& rng) {
@@ -172,15 +154,6 @@ core::StatusOr<core::Dataset> TryExpandWithAugmenter(
     if (extra > 0) requests.emplace_back(label, extra);
   }
   return AugmentClasses(train, augmenter, requests, rng, "expand");
-}
-
-core::Dataset ExpandWithAugmenter(const core::Dataset& train,
-                                  Augmenter& augmenter, double factor,
-                                  core::Rng& rng) {
-  core::StatusOr<core::Dataset> out =
-      TryExpandWithAugmenter(train, augmenter, factor, rng);
-  TSAUG_CHECK_MSG(out.ok(), "%s", out.status().ToString().c_str());
-  return std::move(out).value();
 }
 
 }  // namespace tsaug::augment

@@ -52,12 +52,6 @@ class Augmenter {
   [[nodiscard]] core::StatusOr<std::vector<core::TimeSeries>> TryGenerate(
       const core::Dataset& train, int label, int count, core::Rng& rng);
 
-  /// Aborting wrapper over TryGenerate for callers without a recovery
-  /// policy (tests, benches on known-good data).
-  std::vector<core::TimeSeries> Generate(const core::Dataset& train,
-                                         int label, int count,
-                                         core::Rng& rng);
-
   /// Announces the classes (distinct, ascending, each with members) the
   /// next TryGenerate calls on `train` will request, so an augmenter that
   /// fits per-class models can fit them all at once, concurrently, before
@@ -96,20 +90,11 @@ class TransformAugmenter : public Augmenter {
 [[nodiscard]] core::StatusOr<core::Dataset> TryBalanceWithAugmenter(
     const core::Dataset& train, Augmenter& augmenter, core::Rng& rng);
 
-/// Aborting wrapper over TryBalanceWithAugmenter.
-core::Dataset BalanceWithAugmenter(const core::Dataset& train,
-                                   Augmenter& augmenter, core::Rng& rng);
-
 /// Appends `factor` x class_count synthetic instances to every class
 /// (factor 1.0 doubles the data). Used by the ablation benches.
 [[nodiscard]] core::StatusOr<core::Dataset> TryExpandWithAugmenter(
     const core::Dataset& train, Augmenter& augmenter, double factor,
     core::Rng& rng);
-
-/// Aborting wrapper over TryExpandWithAugmenter.
-core::Dataset ExpandWithAugmenter(const core::Dataset& train,
-                                  Augmenter& augmenter, double factor,
-                                  core::Rng& rng);
 
 }  // namespace tsaug::augment
 

@@ -61,16 +61,6 @@ core::StatusOr<core::TimeSeries> TryDtwBarycenterAverage(
   return barycenter;
 }
 
-core::TimeSeries DtwBarycenterAverage(
-    const std::vector<core::TimeSeries>& members,
-    const std::vector<double>& weights, const core::TimeSeries& initial,
-    int iterations, int window) {
-  core::StatusOr<core::TimeSeries> out =
-      TryDtwBarycenterAverage(members, weights, initial, iterations, window);
-  TSAUG_CHECK_MSG(out.ok(), "%s", out.status().ToString().c_str());
-  return std::move(out).value();
-}
-
 DbaAugmenter::DbaAugmenter(double reference_weight, int max_neighbors,
                            int iterations, int window)
     : reference_weight_(reference_weight), max_neighbors_(max_neighbors),

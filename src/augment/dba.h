@@ -19,12 +19,6 @@ namespace tsaug::augment {
     const std::vector<double>& weights, const core::TimeSeries& initial,
     int iterations = 5, int window = -1);
 
-/// Aborting wrapper over TryDtwBarycenterAverage.
-core::TimeSeries DtwBarycenterAverage(
-    const std::vector<core::TimeSeries>& members,
-    const std::vector<double>& weights, const core::TimeSeries& initial,
-    int iterations = 5, int window = -1);
-
 /// Weighted-DBA augmentation (Forestier et al.): a synthetic series is the
 /// DBA barycenter of the class with random weights concentrated on one
 /// random reference member — a smooth, alignment-aware interpolation that

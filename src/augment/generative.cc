@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/preprocess.h"
 #include "linalg/decomposition.h"
@@ -78,9 +79,9 @@ core::StatusOr<std::vector<core::TimeSeries>> GaussianGenerator::DoGenerate(
   return out;
 }
 
-std::vector<double> FitAutoregressive(const std::vector<double>& signal,
-                                      int order,
-                                      double* innovation_variance) {
+core::StatusOr<std::vector<double>> FitAutoregressive(
+    const std::vector<double>& signal, int order,
+    double* innovation_variance) {
   TSAUG_CHECK(order >= 1);
   const int n = static_cast<int>(signal.size());
   TSAUG_CHECK(n > order + 1);
@@ -104,8 +105,10 @@ std::vector<double> FitAutoregressive(const std::vector<double>& signal,
     for (int j = 0; j < order; ++j) toeplitz(i, j) = r[static_cast<size_t>(std::abs(i - j))];
     rhs(i, 0) = r[static_cast<size_t>(i + 1)];
   }
-  const linalg::Matrix solution =
-      linalg::CholeskySolveJittered(toeplitz, rhs, 1e-8 * r[0]);
+  core::StatusOr<linalg::Matrix> solved =
+      linalg::TryCholeskySolveJittered(toeplitz, rhs, 1e-8 * r[0]);
+  if (!solved.ok()) return solved.status();
+  const linalg::Matrix& solution = *solved;
 
   std::vector<double> phi(static_cast<size_t>(order));
   double variance = r[0];
@@ -149,7 +152,13 @@ core::StatusOr<std::vector<core::TimeSeries>> ArGenerator::DoGenerate(
     }
     double variance = 0.0;
     if (static_cast<int>(pooled.size()) > order + 1) {
-      phis[static_cast<size_t>(c)] = FitAutoregressive(pooled, order, &variance);
+      core::StatusOr<std::vector<double>> phi =
+          FitAutoregressive(pooled, order, &variance);
+      if (!phi.ok()) {
+        core::Status status = phi.status();
+        return status.AddContext("ar_gen: channel " + std::to_string(c));
+      }
+      phis[static_cast<size_t>(c)] = std::move(phi).value();
     } else {
       phis[static_cast<size_t>(c)].assign(static_cast<size_t>(order), 0.0);
       for (double v : pooled) variance += v * v;

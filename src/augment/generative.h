@@ -44,10 +44,11 @@ class ArGenerator : public Augmenter {
 
 /// Yule-Walker AR(p) fit of a zero-mean signal: returns the coefficients
 /// (phi_1..phi_p) and sets `innovation_variance` to the residual variance.
-/// Exposed for tests and the generative benches.
-std::vector<double> FitAutoregressive(const std::vector<double>& signal,
-                                      int order,
-                                      double* innovation_variance);
+/// kSingular when the autocovariance system cannot be solved (a signal
+/// holding NaN or inf). Exposed for tests and the generative benches.
+[[nodiscard]] core::StatusOr<std::vector<double>> FitAutoregressive(
+    const std::vector<double>& signal, int order,
+    double* innovation_variance);
 
 }  // namespace tsaug::augment
 

@@ -10,9 +10,9 @@
 namespace tsaug::augment {
 
 /// Composition of augmenters, in the spirit of the paper's future-work
-/// suggestion (CutMix-style pipelines): every Generate() call delegates to
-/// a uniformly random member, so the synthetic pool mixes techniques from
-/// several taxonomy branches.
+/// suggestion (CutMix-style pipelines): every TryGenerate() call delegates
+/// to a uniformly random member, so the synthetic pool mixes techniques
+/// from several taxonomy branches.
 class RandomChoiceAugmenter : public Augmenter {
  public:
   explicit RandomChoiceAugmenter(

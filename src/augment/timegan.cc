@@ -331,11 +331,6 @@ core::Status TimeGan::TryFit(const std::vector<core::TimeSeries>& series) {
   return core::OkStatus();
 }
 
-void TimeGan::Fit(const std::vector<core::TimeSeries>& series) {
-  const core::Status status = TryFit(series);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-}
-
 std::vector<core::TimeSeries> TimeGan::Sample(int count, core::Rng& rng) {
   TSAUG_CHECK(fitted_);
   std::vector<core::TimeSeries> out;

@@ -53,9 +53,6 @@ class TimeGan {
   /// kInjectedFault under the "timegan.fit" fault point.
   [[nodiscard]] core::Status TryFit(const std::vector<core::TimeSeries>& series);
 
-  /// Aborting wrapper around TryFit() for callers without a recovery path.
-  void Fit(const std::vector<core::TimeSeries>& series);
-
   bool fitted() const { return fitted_; }
 
   /// Draws `count` synthetic series (at the training sequence length,
@@ -106,7 +103,7 @@ class TimeGan {
 };
 
 /// The taxonomy's generative/neural augmenter: one TimeGAN per class,
-/// cached across Generate() calls. Prefit() trains the requested classes'
+/// cached across TryGenerate() calls. Prefit() trains the requested classes'
 /// GANs concurrently on the thread pool; a class not prefitted is trained
 /// lazily on first use (see ClassModelCache).
 ///

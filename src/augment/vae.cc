@@ -106,11 +106,6 @@ core::Status Vae::TryFit(const std::vector<std::vector<double>>& instances) {
   return core::OkStatus();
 }
 
-void Vae::Fit(const std::vector<std::vector<double>>& instances) {
-  const core::Status status = TryFit(instances);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-}
-
 std::vector<std::vector<double>> Vae::Sample(int count, core::Rng& rng) {
   TSAUG_CHECK(fitted());
   Tensor z({count, config_.latent_dim});

@@ -37,9 +37,6 @@ class Vae {
   /// returns kCancelled / kDeadlineExceeded instead of training to the end.
   [[nodiscard]] core::Status TryFit(const std::vector<std::vector<double>>& instances);
 
-  /// Crashing wrapper around TryFit for callers without a status channel.
-  void Fit(const std::vector<std::vector<double>>& instances);
-
   bool fitted() const { return decoder_out_ != nullptr; }
 
   /// Decodes `count` draws of z ~ N(0, I) back to data space.

@@ -108,10 +108,8 @@ InceptionTimeClassifier::InceptionTimeClassifier(InceptionTimeConfig config,
 }
 
 void InceptionTimeClassifier::Fit(const core::Dataset& train) {
-  core::Rng rng(seed_ ^ 0x9e3779b97f4a7c15ull);
-  const auto [train_part, val_part] =
-      train.StratifiedSplit(1.0 - config_.validation_fraction, rng);
-  FitWithValidation(train_part, val_part);
+  const core::Status status = TryFit(train);
+  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
 }
 
 core::Status InceptionTimeClassifier::TryFit(const core::Dataset& train) {
@@ -119,12 +117,6 @@ core::Status InceptionTimeClassifier::TryFit(const core::Dataset& train) {
   const auto [train_part, val_part] =
       train.StratifiedSplit(1.0 - config_.validation_fraction, rng);
   return TryFitWithValidation(train_part, val_part);
-}
-
-void InceptionTimeClassifier::FitWithValidation(
-    const core::Dataset& train, const core::Dataset& validation) {
-  const core::Status status = TryFitWithValidation(train, validation);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
 }
 
 core::Status InceptionTimeClassifier::TryFitWithValidation(

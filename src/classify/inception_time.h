@@ -89,12 +89,8 @@ class InceptionTimeClassifier : public Classifier {
 
   /// The paper's protocol: train on `train` (possibly augmented), validate
   /// early stopping on `validation` (original samples only).
-  void FitWithValidation(const core::Dataset& train,
-                         const core::Dataset& validation);
-
-  /// Recoverable variant of FitWithValidation().
-  [[nodiscard]] core::Status TryFitWithValidation(const core::Dataset& train,
-                                    const core::Dataset& validation);
+  [[nodiscard]] core::Status TryFitWithValidation(
+      const core::Dataset& train, const core::Dataset& validation);
 
   std::vector<int> Predict(const core::Dataset& test) override;
 

@@ -204,12 +204,18 @@ MiniRocketClassifier::MiniRocketClassifier(int num_features,
     : transform_(num_features, seed), z_normalize_(z_normalize) {}
 
 void MiniRocketClassifier::Fit(const core::Dataset& train) {
+  const core::Status status = TryFit(train);
+  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
+}
+
+core::Status MiniRocketClassifier::TryFit(const core::Dataset& train) {
   TSAUG_CHECK(!train.empty());
   TSAUG_TRACE_SCOPE("train.minirocket");
   train_length_ = train.max_length();
   const nn::Tensor x = DatasetToTensor(train, train_length_, z_normalize_);
   transform_.Fit(x);
-  ridge_.Fit(transform_.Transform(x), train.labels(), train.num_classes());
+  return ridge_.TryFit(transform_.Transform(x), train.labels(),
+                       train.num_classes());
 }
 
 std::vector<int> MiniRocketClassifier::Predict(const core::Dataset& test) {

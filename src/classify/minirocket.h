@@ -69,6 +69,9 @@ class MiniRocketClassifier : public Classifier {
 
   std::string name() const override { return "MiniRocket"; }
   void Fit(const core::Dataset& train) override;
+  /// Surfaces ridge-solve failures (after alpha escalation is exhausted)
+  /// instead of aborting.
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
   std::vector<int> Predict(const core::Dataset& test) override;
 
   const MiniRocketTransform& transform() const { return transform_; }

@@ -64,14 +64,19 @@ ResNetClassifier::ResNetClassifier(ResNetConfig config, std::uint64_t seed)
     : config_(std::move(config)), seed_(seed) {}
 
 void ResNetClassifier::Fit(const core::Dataset& train) {
+  const core::Status status = TryFit(train);
+  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
+}
+
+core::Status ResNetClassifier::TryFit(const core::Dataset& train) {
   core::Rng rng(seed_ ^ 0x2e5e7ull);
   const auto [train_part, val_part] =
       train.StratifiedSplit(1.0 - config_.validation_fraction, rng);
-  FitWithValidation(train_part, val_part);
+  return TryFitWithValidation(train_part, val_part);
 }
 
-void ResNetClassifier::FitWithValidation(const core::Dataset& train,
-                                         const core::Dataset& validation) {
+core::Status ResNetClassifier::TryFitWithValidation(
+    const core::Dataset& train, const core::Dataset& validation) {
   TSAUG_CHECK(!train.empty() && !validation.empty());
   train_length_ = train.max_length();
   num_classes_ = std::max(train.num_classes(), validation.num_classes());
@@ -84,9 +89,12 @@ void ResNetClassifier::FitWithValidation(const core::Dataset& train,
   core::Rng rng(seed_ + 77ull);
   network_ = std::make_unique<ResNetNetwork>(train.num_channels(),
                                              num_classes_, config_, rng);
-  train_result_ =
-      nn::TrainClassifier(*network_, x_train, train.labels(), x_val,
-                          validation.labels(), config_.trainer, rng);
+  core::StatusOr<nn::TrainResult> result =
+      nn::TryTrainClassifier(*network_, x_train, train.labels(), x_val,
+                             validation.labels(), config_.trainer, rng);
+  if (!result.ok()) return result.status();
+  train_result_ = std::move(result).value();
+  return core::OkStatus();
 }
 
 std::vector<int> ResNetClassifier::Predict(const core::Dataset& test) {

@@ -61,8 +61,13 @@ class ResNetClassifier : public Classifier {
 
   std::string name() const override { return "ResNet"; }
   void Fit(const core::Dataset& train) override;
-  void FitWithValidation(const core::Dataset& train,
-                         const core::Dataset& validation);
+  /// Surfaces training divergence (after the trainer's checkpoint-restore
+  /// retries are exhausted) instead of aborting.
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
+  /// Trains on `train` and early-stops on `validation`, skipping the
+  /// internal split.
+  [[nodiscard]] core::Status TryFitWithValidation(
+      const core::Dataset& train, const core::Dataset& validation);
   std::vector<int> Predict(const core::Dataset& test) override;
 
   const nn::TrainResult& train_result() const { return train_result_; }

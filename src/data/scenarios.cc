@@ -505,10 +505,4 @@ core::StatusOr<TrainTest> TryMakeScenarioDataset(const std::string& id,
                                     "\"");
 }
 
-TrainTest MakeScenarioDataset(const std::string& id, std::uint64_t seed) {
-  core::StatusOr<TrainTest> data = TryMakeScenarioDataset(id, seed);
-  TSAUG_CHECK_MSG(data.ok(), "%s", data.status().ToString().c_str());
-  return std::move(data).value();
-}
-
 }  // namespace tsaug::data

@@ -51,10 +51,6 @@ const ScenarioInfo* FindScenario(const std::string& id);
 [[nodiscard]] core::StatusOr<TrainTest> TryMakeScenarioDataset(
     const std::string& id, std::uint64_t seed);
 
-/// Aborting wrapper over TryMakeScenarioDataset for callers with
-/// known-valid ids (tests, benches).
-TrainTest MakeScenarioDataset(const std::string& id, std::uint64_t seed);
-
 }  // namespace tsaug::data
 
 #endif  // TSAUG_DATA_SCENARIOS_H_

@@ -112,16 +112,6 @@ double RelativeGain(double augmented_accuracy, double baseline_accuracy) {
   return (augmented_accuracy - baseline_accuracy) / baseline_accuracy;
 }
 
-double TrainAndScore(const ExperimentConfig& config,
-                     const core::Dataset& train,
-                     const core::Dataset& validation,
-                     const core::Dataset& test, std::uint64_t run_seed) {
-  core::StatusOr<ScoreOutcome> outcome =
-      TryTrainAndScore(config, train, validation, test, run_seed);
-  TSAUG_CHECK_MSG(outcome.ok(), "%s", outcome.status().ToString().c_str());
-  return outcome.value().accuracy;
-}
-
 namespace {
 
 /// Typed preflight shared by both models: the shapes below used to be
@@ -644,16 +634,6 @@ core::StatusOr<DatasetRow> TryRunDatasetGrid(
     journal = &local;
   }
   return RunGridAgainstJournal(name, data, techniques, config, journal);
-}
-
-DatasetRow RunDatasetGrid(
-    const std::string& name, const data::TrainTest& data,
-    const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,
-    const ExperimentConfig& config, Journal* journal) {
-  core::StatusOr<DatasetRow> row =
-      TryRunDatasetGrid(name, data, techniques, config, journal);
-  TSAUG_CHECK_MSG(row.ok(), "%s", row.status().ToString().c_str());
-  return std::move(row).value();
 }
 
 }  // namespace tsaug::eval

@@ -155,13 +155,8 @@ struct ScoreOutcome {
 /// Trains the configured model on `train` and scores it on `test`.
 /// For InceptionTime, `validation` holds the original stratified samples
 /// used for early stopping (the paper keeps augmented data out of it).
-double TrainAndScore(const ExperimentConfig& config,
-                     const core::Dataset& train,
-                     const core::Dataset& validation,
-                     const core::Dataset& test, std::uint64_t run_seed);
-
-/// Recoverable variant of TrainAndScore(): returns the Status of a model
-/// whose training failed after its recovery policies were exhausted.
+/// Returns the Status of a model whose training failed after its recovery
+/// policies were exhausted.
 ///
 /// `shared` (ROCKET only) holds a run's transform and the features of its
 /// base training rows and of `test`. When it was built for
@@ -197,13 +192,6 @@ std::string ConfigFingerprint(
 /// and returns what completed — with every finished cell already flushed
 /// to the journal.
 [[nodiscard]] core::StatusOr<DatasetRow> TryRunDatasetGrid(
-    const std::string& name, const data::TrainTest& data,
-    const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,
-    const ExperimentConfig& config, Journal* journal = nullptr);
-
-/// Aborting wrapper over TryRunDatasetGrid (a journal open failure — e.g.
-/// a fingerprint mismatch — crashes instead of returning a Status).
-DatasetRow RunDatasetGrid(
     const std::string& name, const data::TrainTest& data,
     const std::vector<std::shared_ptr<augment::Augmenter>>& techniques,
     const ExperimentConfig& config, Journal* journal = nullptr);

@@ -9,8 +9,8 @@
 #include <string>
 
 #include "augment/pipeline.h"
-#include "core/cancel.h"
 #include "data/uea_catalog.h"
+#include "eval/shard.h"
 
 namespace tsaug::eval {
 namespace {
@@ -331,8 +331,8 @@ std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
   return selected;
 }
 
-StudyResult RunStudy(const BenchSettings& settings, ModelKind model,
-                     bool verbose) {
+core::StatusOr<StudyResult> RunStudy(const BenchSettings& settings,
+                                     ModelKind model) {
   const ExperimentConfig config = MakeExperimentConfig(settings, model);
   const auto techniques = MakePaperTechniques(settings);
 
@@ -342,42 +342,13 @@ StudyResult RunStudy(const BenchSettings& settings, ModelKind model,
       names.push_back(info.name);
     }
   }
-
-  StudyResult result;
-  result.model = model;
-  result.journal_path = config.journal_path;
-
-  // One journal for the whole study, opened once: its per-cell records are
-  // keyed by dataset name, so each grid finds exactly its own cells.
-  Journal journal;
-  if (!config.journal_path.empty()) {
-    const core::Status opened = journal.Open(
-        config.journal_path, ConfigFingerprint(config, techniques));
-    TSAUG_CHECK_MSG(opened.ok(), "%s", opened.ToString().c_str());
-  }
-
-  for (const std::string& name : names) {
-    if (core::GlobalStopRequested()) {
-      result.interrupted = true;
-      break;
-    }
-    if (verbose) {
-      std::fprintf(stderr, "[%s] running %s...\n",
-                   ModelKindName(model).c_str(), name.c_str());
-    }
-    const data::TrainTest dataset =
-        data::MakeUeaLikeDataset(name, settings.scale, settings.seed);
-    DatasetRow row = RunDatasetGrid(name, dataset, techniques, config,
-                                    journal.is_open() ? &journal : nullptr);
-    result.resumed_cells += row.resumed_cells;
-    const bool interrupted = row.interrupted;
-    result.rows.push_back(std::move(row));
-    if (interrupted) {
-      result.interrupted = true;
-      break;
-    }
-  }
-  return result;
+  const std::string model_name = ModelKindName(model);
+  const DatasetLoader loader = [&](const std::string& name) {
+    std::fprintf(stderr, "[%s] running %s...\n", model_name.c_str(),
+                 name.c_str());
+    return data::MakeUeaLikeDataset(name, settings.scale, settings.seed);
+  };
+  return RunShardedStudy(names, loader, techniques, config);
 }
 
 }  // namespace tsaug::eval

@@ -71,14 +71,16 @@ ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,
 std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
     const BenchSettings& settings);
 
-/// Runs the full study grid (all selected datasets) for one model.
-/// With settings.journal_path set, one journal is shared across all
-/// datasets, so an interrupted study resumes from wherever it was killed.
-/// A stop request (core/cancel.h) ends the study after flushing the
-/// current dataset's completed cells; the partial result is marked
-/// interrupted.
-StudyResult RunStudy(const BenchSettings& settings, ModelKind model,
-                     bool verbose = true);
+/// Runs the full study grid (all selected datasets) for one model: the
+/// settings' config, techniques and UEA-like loader handed to
+/// RunShardedStudy (eval/shard.h), unsharded. With settings.journal_path
+/// set, one journal is shared across all datasets, so an interrupted study
+/// resumes from wherever it was killed. A stop request (core/cancel.h)
+/// ends the study after flushing the current dataset's completed cells;
+/// the partial result is marked interrupted. Returns the Status of a
+/// journal that cannot be opened (e.g. a fingerprint mismatch).
+[[nodiscard]] core::StatusOr<StudyResult> RunStudy(
+    const BenchSettings& settings, ModelKind model);
 
 }  // namespace tsaug::eval
 

@@ -65,13 +65,6 @@ core::StatusOr<Matrix> TryCholeskySolveJittered(const Matrix& a,
   return core::SingularError(context);
 }
 
-Matrix CholeskySolveJittered(const Matrix& a, const Matrix& b,
-                             double initial_jitter) {
-  core::StatusOr<Matrix> x = TryCholeskySolveJittered(a, b, initial_jitter);
-  TSAUG_CHECK_MSG(x.ok(), "%s", x.status().ToString().c_str());
-  return std::move(x).value();
-}
-
 void SymmetricEigen(const Matrix& a, std::vector<double>* eigenvalues,
                     Matrix* eigenvectors, int max_sweeps) {
   TSAUG_CHECK(a.rows() == a.cols());

@@ -26,11 +26,6 @@ Matrix CholeskySolve(Matrix a, const Matrix& b);
                                                 const Matrix& b,
                                                 double initial_jitter = 1e-10);
 
-/// Aborting convenience wrapper over TryCholeskySolveJittered for callers
-/// whose inputs are SPD by construction.
-Matrix CholeskySolveJittered(const Matrix& a, const Matrix& b,
-                             double initial_jitter = 1e-10);
-
 /// Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
 /// On return `eigenvalues` is ascending and column j of `eigenvectors` is
 /// the unit eigenvector of eigenvalues[j], i.e. A = V diag(w) V^T.

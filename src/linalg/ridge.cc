@@ -68,11 +68,6 @@ core::Status RidgeRegression::TryFit(const CenteredRidgeProblem& problem,
   return core::OkStatus();
 }
 
-void RidgeRegression::Fit(const Matrix& x, const Matrix& y, double alpha) {
-  const core::Status status = TryFit(x, y, alpha);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-}
-
 Matrix RidgeRegression::Predict(const Matrix& x) const {
   TSAUG_CHECK(fitted());
   TSAUG_CHECK(x.cols() == weights_.rows());
@@ -255,12 +250,6 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
     alpha *= 10.0;
   }
   return status.AddContext("ridge.fit: alpha escalation exhausted");
-}
-
-void RidgeClassifierCV::Fit(const Matrix& x, const std::vector<int>& labels,
-                            int num_classes) {
-  const core::Status status = TryFit(x, labels, num_classes);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
 }
 
 Matrix RidgeClassifierCV::DecisionFunction(const Matrix& x) const {

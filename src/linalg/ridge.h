@@ -48,9 +48,6 @@ class RidgeRegression {
   [[nodiscard]] core::Status TryFit(const CenteredRidgeProblem& problem,
                                     double alpha);
 
-  /// Aborting wrapper over TryFit for callers without a recovery policy.
-  void Fit(const Matrix& x, const Matrix& y, double alpha);
-
   /// Predicted targets for `x` (n x d) -> (n x k).
   Matrix Predict(const Matrix& x) const;
 
@@ -85,9 +82,6 @@ class RidgeClassifierCV {
   ///    number of retries before reporting kSingular.
   [[nodiscard]] core::Status TryFit(const Matrix& x, const std::vector<int>& labels,
                       int num_classes);
-
-  /// Aborting wrapper over TryFit for callers without a recovery policy.
-  void Fit(const Matrix& x, const std::vector<int>& labels, int num_classes);
 
   /// Class decision scores, one row per instance (n x num_classes).
   Matrix DecisionFunction(const Matrix& x) const;

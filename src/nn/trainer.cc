@@ -226,17 +226,6 @@ core::StatusOr<TrainResult> TryTrainClassifier(
   return result;
 }
 
-TrainResult TrainClassifier(SequenceClassifierNet& net, const Tensor& x_train,
-                            const std::vector<int>& y_train,
-                            const Tensor& x_val,
-                            const std::vector<int>& y_val,
-                            const TrainerConfig& config, core::Rng& rng) {
-  core::StatusOr<TrainResult> result =
-      TryTrainClassifier(net, x_train, y_train, x_val, y_val, config, rng);
-  TSAUG_CHECK_MSG(result.ok(), "%s", result.status().ToString().c_str());
-  return std::move(result).value();
-}
-
 std::vector<int> PredictLabels(SequenceClassifierNet& net, const Tensor& x,
                                int batch_size) {
   net.SetTraining(false);

@@ -80,14 +80,6 @@ double FindLearningRate(SequenceClassifierNet& net, const Tensor& x,
     const std::vector<int>& y_val, const TrainerConfig& config,
     core::Rng& rng);
 
-/// Aborting wrapper over TryTrainClassifier for callers without a
-/// recovery policy.
-TrainResult TrainClassifier(SequenceClassifierNet& net, const Tensor& x_train,
-                            const std::vector<int>& y_train,
-                            const Tensor& x_val,
-                            const std::vector<int>& y_val,
-                            const TrainerConfig& config, core::Rng& rng);
-
 /// Argmax predictions of `net` over `x` in eval mode (batched).
 std::vector<int> PredictLabels(SequenceClassifierNet& net, const Tensor& x,
                                int batch_size = 64);

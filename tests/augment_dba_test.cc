@@ -12,22 +12,22 @@ namespace {
 
 using core::TimeSeries;
 
-TEST(DtwBarycenterAverage, SingleMemberIsItself) {
+TEST(TryDtwBarycenterAverage, SingleMemberIsItself) {
   const TimeSeries s = TimeSeries::FromValues({1, 2, 3, 2, 1});
-  const TimeSeries avg = DtwBarycenterAverage({s}, {1.0}, s, 3);
+  const TimeSeries avg = TryDtwBarycenterAverage({s}, {1.0}, s, 3).value();
   for (int t = 0; t < 5; ++t) {
     EXPECT_NEAR(avg.at(0, t), s.at(0, t), 1e-9);
   }
 }
 
-TEST(DtwBarycenterAverage, IdenticalMembersAverageToThemselves) {
+TEST(TryDtwBarycenterAverage, IdenticalMembersAverageToThemselves) {
   const TimeSeries s = TimeSeries::FromValues({0, 1, 0, -1, 0});
   const TimeSeries avg =
-      DtwBarycenterAverage({s, s, s}, {0.3, 0.3, 0.4}, s, 4);
+      TryDtwBarycenterAverage({s, s, s}, {0.3, 0.3, 0.4}, s, 4).value();
   for (int t = 0; t < 5; ++t) EXPECT_NEAR(avg.at(0, t), s.at(0, t), 1e-9);
 }
 
-TEST(DtwBarycenterAverage, AlignsShiftedBumps) {
+TEST(TryDtwBarycenterAverage, AlignsShiftedBumps) {
   // Two shifted copies of a bump: the DBA average should be closer (in
   // DTW) to both members than their pointwise mean is.
   std::vector<double> a(30, 0.0);
@@ -38,7 +38,7 @@ TEST(DtwBarycenterAverage, AlignsShiftedBumps) {
   const TimeSeries sb = TimeSeries::FromValues(b);
 
   const TimeSeries dba =
-      DtwBarycenterAverage({sa, sb}, {0.5, 0.5}, sa, 6);
+      TryDtwBarycenterAverage({sa, sb}, {0.5, 0.5}, sa, 6).value();
 
   std::vector<double> mean(30);
   for (int t = 0; t < 30; ++t) mean[static_cast<size_t>(t)] = 0.5 * (a[static_cast<size_t>(t)] + b[static_cast<size_t>(t)]);
@@ -66,7 +66,7 @@ TEST(DbaAugmenter, GeneratesDatasetShapedSeries) {
   const core::Dataset train = data::MakeSynthetic(spec).train;
   DbaAugmenter dba;
   core::Rng rng(4);
-  const auto generated = dba.Generate(train, 0, 6, rng);
+  const auto generated = dba.TryGenerate(train, 0, 6, rng).value();
   ASSERT_EQ(generated.size(), 6u);
   for (const TimeSeries& s : generated) {
     EXPECT_EQ(s.num_channels(), 2);
@@ -89,7 +89,7 @@ TEST(DbaAugmenter, SyntheticStaysNearClass) {
   const core::Dataset train = data::MakeSynthetic(spec).train;
   DbaAugmenter dba;
   core::Rng rng(6);
-  const auto generated = dba.Generate(train, 0, 5, rng);
+  const auto generated = dba.TryGenerate(train, 0, 5, rng).value();
   for (const TimeSeries& s : generated) {
     double own = 0.0;
     double other = 0.0;

@@ -92,7 +92,7 @@ TEST(Vae, LearnsToReconstructAndSample) {
   config.epochs = 400;
   config.seed = 3;
   Vae vae(config);
-  vae.Fit(instances);
+  ASSERT_TRUE(vae.TryFit(instances).ok());
   EXPECT_LT(vae.final_loss(), 1.0);
 
   core::Rng rng(4);
@@ -122,7 +122,7 @@ TEST(VaeAugmenter, GeneratesDatasetShapedSeries) {
   config.epochs = 50;
   VaeAugmenter augmenter(config);
   core::Rng rng(6);
-  const auto generated = augmenter.Generate(train, 1, 4, rng);
+  const auto generated = augmenter.TryGenerate(train, 1, 4, rng).value();
   ASSERT_EQ(generated.size(), 4u);
   for (const TimeSeries& s : generated) {
     EXPECT_EQ(s.num_channels(), 2);
@@ -195,7 +195,8 @@ TEST(DtwGuidedWarp, GenerateMatchesDatasetGeometry) {
   const core::Dataset train = data::MakeSynthetic(spec).train;
   DtwGuidedWarp warp(4);
   core::Rng rng(11);
-  for (const TimeSeries& s : warp.Generate(train, 0, 5, rng)) {
+  const auto generated = warp.TryGenerate(train, 0, 5, rng).value();
+  for (const TimeSeries& s : generated) {
     EXPECT_EQ(s.num_channels(), 3);
     EXPECT_EQ(s.length(), 20);
   }
@@ -212,7 +213,7 @@ TEST(Inos, MixesInterpolationAndCovarianceSamples) {
   const core::Dataset train = data::MakeSynthetic(spec).train;
   Inos inos(0.5);
   core::Rng rng(13);
-  const auto generated = inos.Generate(train, 1, 10, rng);
+  const auto generated = inos.TryGenerate(train, 1, 10, rng).value();
   EXPECT_EQ(generated.size(), 10u);
   for (const TimeSeries& s : generated) {
     EXPECT_EQ(s.num_channels(), 2);

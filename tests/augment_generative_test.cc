@@ -1,5 +1,6 @@
 // Tests for the generative branch: Gaussian and autoregressive samplers.
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,7 @@ TEST(GaussianGenerator, MatchesClassMeanAndSpread) {
   core::Dataset train = ClassData();
   GaussianGenerator generator;
   core::Rng rng(2);
-  const auto generated = generator.Generate(train, 0, 400, rng);
+  const auto generated = generator.TryGenerate(train, 0, 400, rng).value();
   ASSERT_EQ(generated.size(), 400u);
 
   // Compare the generated mean to the class mean, coordinatewise.
@@ -53,7 +54,7 @@ TEST(GaussianGenerator, SamplesVary) {
   core::Dataset train = ClassData(3);
   GaussianGenerator generator;
   core::Rng rng(4);
-  const auto generated = generator.Generate(train, 1, 2, rng);
+  const auto generated = generator.TryGenerate(train, 1, 2, rng).value();
   EXPECT_NE(generated[0], generated[1]);
 }
 
@@ -67,7 +68,8 @@ TEST(FitAutoregressive, RecoversAr1Coefficient) {
     v = state;
   }
   double innovation = 0.0;
-  const std::vector<double> fitted = FitAutoregressive(signal, 1, &innovation);
+  const std::vector<double> fitted =
+      FitAutoregressive(signal, 1, &innovation).value();
   ASSERT_EQ(fitted.size(), 1u);
   EXPECT_NEAR(fitted[0], phi, 0.03);
   EXPECT_NEAR(innovation, 1.0, 0.1);
@@ -82,7 +84,7 @@ TEST(FitAutoregressive, RecoversAr2Coefficients) {
     signal[t] = phi1 * signal[t - 1] + phi2 * signal[t - 2] + rng.Normal();
   }
   const std::vector<double> fitted =
-      FitAutoregressive(signal, 2, nullptr);
+      FitAutoregressive(signal, 2, nullptr).value();
   EXPECT_NEAR(fitted[0], phi1, 0.03);
   EXPECT_NEAR(fitted[1], phi2, 0.03);
 }
@@ -90,16 +92,26 @@ TEST(FitAutoregressive, RecoversAr2Coefficients) {
 TEST(FitAutoregressive, FlatSignalZeroCoefficients) {
   std::vector<double> flat(100, 0.0);
   double innovation = 1.0;
-  const std::vector<double> fitted = FitAutoregressive(flat, 2, &innovation);
+  const std::vector<double> fitted =
+      FitAutoregressive(flat, 2, &innovation).value();
   EXPECT_DOUBLE_EQ(fitted[0], 0.0);
   EXPECT_DOUBLE_EQ(innovation, 0.0);
+}
+
+TEST(FitAutoregressive, NanSignalIsSingular) {
+  std::vector<double> signal(40, 0.5);
+  signal[7] = std::numeric_limits<double>::quiet_NaN();
+  const core::StatusOr<std::vector<double>> fitted =
+      FitAutoregressive(signal, 2, nullptr);
+  ASSERT_FALSE(fitted.ok());
+  EXPECT_EQ(fitted.status().code(), core::StatusCode::kSingular);
 }
 
 TEST(ArGenerator, TracksClassMeanCurve) {
   core::Dataset train = ClassData(7);
   ArGenerator generator(2);
   core::Rng rng(8);
-  const auto generated = generator.Generate(train, 0, 200, rng);
+  const auto generated = generator.TryGenerate(train, 0, 200, rng).value();
   ASSERT_EQ(generated.size(), 200u);
 
   const auto by_class = train.IndicesByClass();
@@ -118,11 +130,25 @@ TEST(ArGenerator, ShapesMatchDataset) {
   core::Dataset train = ClassData(9);
   ArGenerator generator;
   core::Rng rng(10);
-  for (const core::TimeSeries& s : generator.Generate(train, 1, 3, rng)) {
+  const auto generated = generator.TryGenerate(train, 1, 3, rng).value();
+  for (const core::TimeSeries& s : generated) {
     EXPECT_EQ(s.num_channels(), 2);
     EXPECT_EQ(s.length(), 24);
     for (double v : s.values()) EXPECT_TRUE(std::isfinite(v));
   }
+}
+
+TEST(ArGenerator, InfiniteSampleFailsTyped) {
+  core::Dataset train = ClassData(11);
+  core::TimeSeries poisoned = train.series(train.IndicesByClass()[1][0]);
+  poisoned.at(0, 3) = std::numeric_limits<double>::infinity();
+  train.Add(std::move(poisoned), 1);
+  ArGenerator generator;
+  core::Rng rng(12);
+  const core::StatusOr<std::vector<core::TimeSeries>> generated =
+      generator.TryGenerate(train, 1, 3, rng);
+  ASSERT_FALSE(generated.ok());
+  EXPECT_EQ(generated.status().code(), core::StatusCode::kSingular);
 }
 
 }  // namespace

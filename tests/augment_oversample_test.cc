@@ -29,7 +29,7 @@ TEST(Smote, GeneratesRequestedCount) {
   core::Dataset train = ImbalancedData();
   Smote smote;
   core::Rng rng(2);
-  const auto generated = smote.Generate(train, 2, 7, rng);
+  const auto generated = smote.TryGenerate(train, 2, 7, rng).value();
   EXPECT_EQ(generated.size(), 7u);
   for (const core::TimeSeries& s : generated) {
     EXPECT_EQ(s.num_channels(), 2);
@@ -49,7 +49,8 @@ TEST(Smote, SyntheticPointsOnSegmentsBetweenClassMembers) {
 
   Smote smote;
   core::Rng rng(3);
-  for (const core::TimeSeries& s : smote.Generate(train, 0, 20, rng)) {
+  const auto generated = smote.TryGenerate(train, 0, 20, rng).value();
+  for (const core::TimeSeries& s : generated) {
     const double a = linalg::EuclideanDistance(s, train.series(0));
     const double b = linalg::EuclideanDistance(s, train.series(1));
     const double ab =
@@ -68,7 +69,7 @@ TEST(Smote, SingletonClassJitterResamples) {
   train.Add(core::TimeSeries::FromChannels({{6, 6, 6}}), 1);
   Smote smote;
   core::Rng rng(4);
-  const auto generated = smote.Generate(train, 0, 3, rng);
+  const auto generated = smote.TryGenerate(train, 0, 3, rng).value();
   ASSERT_EQ(generated.size(), 3u);
   const double scale = linalg::Norm(train.series(0).Flatten());
   for (const core::TimeSeries& s : generated) {
@@ -88,7 +89,8 @@ TEST(Smote, UsesPaperNeighborRule) {
   train.Add(core::TimeSeries::FromChannels({{10.0, 10.0}}), 1);
   Smote smote(5);
   core::Rng rng(5);
-  for (const core::TimeSeries& s : smote.Generate(train, 0, 30, rng)) {
+  const auto generated = smote.TryGenerate(train, 0, 30, rng).value();
+  for (const core::TimeSeries& s : generated) {
     EXPECT_LE(s.at(0, 0), 1.0 + 1e-9);
     EXPECT_LE(s.at(0, 1), 1.0 + 1e-9);
     EXPECT_GE(s.at(0, 0), -1e-9);
@@ -100,7 +102,7 @@ TEST(BorderlineSmote, GeneratesFromDangerRegion) {
   core::Dataset train = ImbalancedData(7);
   BorderlineSmote borderline;
   core::Rng rng(8);
-  const auto generated = borderline.Generate(train, 2, 10, rng);
+  const auto generated = borderline.TryGenerate(train, 2, 10, rng).value();
   EXPECT_EQ(generated.size(), 10u);
 }
 
@@ -108,7 +110,7 @@ TEST(Adasyn, GeneratesRequestedCount) {
   core::Dataset train = ImbalancedData(9);
   Adasyn adasyn;
   core::Rng rng(10);
-  EXPECT_EQ(adasyn.Generate(train, 1, 12, rng).size(), 12u);
+  EXPECT_EQ(adasyn.TryGenerate(train, 1, 12, rng).value().size(), 12u);
 }
 
 TEST(RandomInterpolation, StaysWithinClassHullCoordinatewiseForPairs) {
@@ -118,7 +120,8 @@ TEST(RandomInterpolation, StaysWithinClassHullCoordinatewiseForPairs) {
   train.Add(core::TimeSeries::FromChannels({{5, 5}}), 1);
   RandomInterpolation interp;
   core::Rng rng(11);
-  for (const core::TimeSeries& s : interp.Generate(train, 0, 20, rng)) {
+  const auto generated = interp.TryGenerate(train, 0, 20, rng).value();
+  for (const core::TimeSeries& s : generated) {
     EXPECT_GE(s.at(0, 0), -1e-9);
     EXPECT_LE(s.at(0, 0), 2.0 + 1e-9);
   }
@@ -128,7 +131,8 @@ TEST(RandomOversampling, DuplicatesClassMembers) {
   core::Dataset train = ImbalancedData(12);
   RandomOversampling ros;
   core::Rng rng(13);
-  for (const core::TimeSeries& s : ros.Generate(train, 1, 5, rng)) {
+  const auto generated = ros.TryGenerate(train, 1, 5, rng).value();
+  for (const core::TimeSeries& s : generated) {
     bool found = false;
     for (int i = 0; i < train.size(); ++i) {
       if (train.label(i) == 1 && train.series(i) == s) found = true;
@@ -137,11 +141,12 @@ TEST(RandomOversampling, DuplicatesClassMembers) {
   }
 }
 
-TEST(BalanceWithAugmenter, PerfectlyBalances) {
+TEST(TryBalanceWithAugmenter, PerfectlyBalances) {
   core::Dataset train = ImbalancedData(14);
   Smote smote;
   core::Rng rng(15);
-  const core::Dataset balanced = BalanceWithAugmenter(train, smote, rng);
+  const core::Dataset balanced =
+      TryBalanceWithAugmenter(train, smote, rng).value();
   const std::vector<int> counts = balanced.ClassCounts();
   EXPECT_EQ(counts, (std::vector<int>{16, 16, 16}));
   EXPECT_DOUBLE_EQ(core::ImbalanceDegree(balanced), 0.0);
@@ -152,21 +157,22 @@ TEST(BalanceWithAugmenter, PerfectlyBalances) {
   }
 }
 
-TEST(BalanceWithAugmenter, NoopOnBalancedData) {
+TEST(TryBalanceWithAugmenter, NoopOnBalancedData) {
   core::Dataset train;
   for (int i = 0; i < 4; ++i) {
     train.Add(core::TimeSeries::FromChannels({{1.0 * i, 2.0}}), i % 2);
   }
   NoiseInjection noise(1.0);
   core::Rng rng(16);
-  EXPECT_EQ(BalanceWithAugmenter(train, noise, rng).size(), 4);
+  EXPECT_EQ(TryBalanceWithAugmenter(train, noise, rng).value().size(), 4);
 }
 
-TEST(ExpandWithAugmenter, AddsFactorTimesCounts) {
+TEST(TryExpandWithAugmenter, AddsFactorTimesCounts) {
   core::Dataset train = ImbalancedData(17);
   NoiseInjection noise(1.0);
   core::Rng rng(18);
-  const core::Dataset expanded = ExpandWithAugmenter(train, noise, 1.0, rng);
+  const core::Dataset expanded =
+      TryExpandWithAugmenter(train, noise, 1.0, rng).value();
   EXPECT_EQ(expanded.size(), 2 * train.size());
   EXPECT_EQ(expanded.ClassCounts(), (std::vector<int>{32, 12, 8}));
 }

@@ -29,7 +29,7 @@ TEST(RandomChoiceAugmenter, DelegatesToMembers) {
   RandomChoiceAugmenter mix(
       {std::make_shared<NoiseInjection>(1.0), std::make_shared<Smote>()});
   core::Rng rng(2);
-  EXPECT_EQ(mix.Generate(train, 1, 9, rng).size(), 9u);
+  EXPECT_EQ(mix.TryGenerate(train, 1, 9, rng).value().size(), 9u);
   EXPECT_EQ(mix.name(), "random_mix");
 }
 
@@ -39,7 +39,7 @@ TEST(ChainAugmenter, AppliesStagesInOrder) {
   ChainAugmenter chain(std::make_shared<Smote>(),
                        {std::make_shared<Masking>(0.3)}, "smote+mask");
   core::Rng rng(3);
-  const auto generated = chain.Generate(train, 0, 5, rng);
+  const auto generated = chain.TryGenerate(train, 0, 5, rng).value();
   ASSERT_EQ(generated.size(), 5u);
   for (const core::TimeSeries& s : generated) {
     int zero_steps = 0;

@@ -29,7 +29,7 @@ TEST(RangeNoise, NeverCrossesNearestEnemyRadius) {
   core::Dataset train = TwoBlobs();
   RangeNoise range(0.5);
   core::Rng rng(1);
-  const auto generated = range.Generate(train, 0, 200, rng);
+  const auto generated = range.TryGenerate(train, 0, 200, rng).value();
   for (const core::TimeSeries& s : generated) {
     // Every synthetic point must lie within safety * d(seed, enemy) of its
     // seed; since all class-0 seeds are at least 1.0 from class 1 and the
@@ -44,7 +44,8 @@ TEST(RangeNoise, LabelPreservedUnderOneNearestNeighbor) {
   core::Dataset train = TwoBlobs();
   RangeNoise range(0.5);
   core::Rng rng(2);
-  for (const core::TimeSeries& s : range.Generate(train, 0, 100, rng)) {
+  const auto generated = range.TryGenerate(train, 0, 100, rng).value();
+  for (const core::TimeSeries& s : generated) {
     double best = 1e300;
     int best_label = -1;
     for (int i = 0; i < train.size(); ++i) {
@@ -63,7 +64,8 @@ TEST(RangeNoise, SingleClassFallsBackToRelativeRadius) {
   train.Add(Point2d(3.0, 4.0), 0);  // norm 5
   RangeNoise range(0.5);
   core::Rng rng(3);
-  for (const core::TimeSeries& s : range.Generate(train, 0, 50, rng)) {
+  const auto generated = range.TryGenerate(train, 0, 50, rng).value();
+  for (const core::TimeSeries& s : generated) {
     EXPECT_LE(linalg::EuclideanDistance(s, train.series(0)), 0.5 + 1e-9);
   }
 }
@@ -101,7 +103,7 @@ TEST(Ohit, SamplesStayNearTheirModes) {
   core::Dataset train = TwoModeMinority();
   Ohit ohit;
   core::Rng rng(5);
-  const auto generated = ohit.Generate(train, 0, 60, rng);
+  const auto generated = ohit.TryGenerate(train, 0, 60, rng).value();
   ASSERT_EQ(generated.size(), 60u);
   int near_mode_a = 0;
   int near_mode_b = 0;
@@ -129,7 +131,7 @@ TEST(Ohit, CovarianceStructurePreserved) {
   train.Add(Point2d(50, 50), 1);
   Ohit ohit;
   core::Rng rng(7);
-  const auto generated = ohit.Generate(train, 0, 300, rng);
+  const auto generated = ohit.TryGenerate(train, 0, 300, rng).value();
   double var_x = 0.0;
   double var_y = 0.0;
   double mean_x = 0.0;
@@ -154,7 +156,7 @@ TEST(Ohit, TinyClassStillGenerates) {
   train.Add(Point2d(8, 9), 1);
   Ohit ohit;
   core::Rng rng(8);
-  EXPECT_EQ(ohit.Generate(train, 0, 4, rng).size(), 4u);
+  EXPECT_EQ(ohit.TryGenerate(train, 0, 4, rng).value().size(), 4u);
 }
 
 }  // namespace

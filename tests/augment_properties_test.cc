@@ -1,6 +1,6 @@
 // Property tests swept over EVERY augmenter in the taxonomy registry:
-// whatever the branch, Generate() must honour the same contract — correct
-// count, dataset-compatible shapes, finite values after imputation,
+// whatever the branch, TryGenerate() must honour the same contract —
+// correct count, dataset-compatible shapes, finite values after imputation,
 // determinism in the RNG seed, and respecting the requested class. These
 // run with a reduced TimeGAN so the whole registry is covered.
 #include <cmath>
@@ -61,16 +61,19 @@ class AugmenterProperty : public ::testing::TestWithParam<NamedEntry> {};
 TEST_P(AugmenterProperty, GeneratesExactCount) {
   core::Dataset train = PropertyData();
   core::Rng rng(1);
-  EXPECT_EQ(GetParam().augmenter->Generate(train, 1, 5, rng).size(), 5u);
+  EXPECT_EQ(
+      GetParam().augmenter->TryGenerate(train, 1, 5, rng).value().size(), 5u);
   core::Rng rng2(2);
-  EXPECT_EQ(GetParam().augmenter->Generate(train, 2, 0, rng2).size(), 0u);
+  EXPECT_EQ(
+      GetParam().augmenter->TryGenerate(train, 2, 0, rng2).value().size(), 0u);
 }
 
 TEST_P(AugmenterProperty, ShapesMatchDataset) {
   core::Dataset train = PropertyData();
   core::Rng rng(3);
-  for (const core::TimeSeries& s :
-       GetParam().augmenter->Generate(train, 0, 4, rng)) {
+  const auto generated =
+      GetParam().augmenter->TryGenerate(train, 0, 4, rng).value();
+  for (const core::TimeSeries& s : generated) {
     EXPECT_EQ(s.num_channels(), 2);
     EXPECT_EQ(s.length(), 24);
   }
@@ -79,8 +82,9 @@ TEST_P(AugmenterProperty, ShapesMatchDataset) {
 TEST_P(AugmenterProperty, ValuesFinite) {
   core::Dataset train = PropertyData();
   core::Rng rng(4);
-  for (const core::TimeSeries& s :
-       GetParam().augmenter->Generate(train, 2, 4, rng)) {
+  const auto generated =
+      GetParam().augmenter->TryGenerate(train, 2, 4, rng).value();
+  for (const core::TimeSeries& s : generated) {
     for (double v : s.values()) {
       // NaN only allowed where sources carry missing values (none here).
       EXPECT_TRUE(std::isfinite(v)) << GetParam().name;
@@ -92,10 +96,10 @@ TEST_P(AugmenterProperty, DeterministicInSeed) {
   core::Dataset train = PropertyData();
   GetParam().augmenter->Invalidate();
   core::Rng rng_a(9);
-  const auto a = GetParam().augmenter->Generate(train, 1, 3, rng_a);
+  const auto a = GetParam().augmenter->TryGenerate(train, 1, 3, rng_a).value();
   GetParam().augmenter->Invalidate();
   core::Rng rng_b(9);
-  const auto b = GetParam().augmenter->Generate(train, 1, 3, rng_b);
+  const auto b = GetParam().augmenter->TryGenerate(train, 1, 3, rng_b).value();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << GetParam().name;
 }
@@ -105,7 +109,7 @@ TEST_P(AugmenterProperty, BalancingEqualizesCounts) {
   GetParam().augmenter->Invalidate();
   core::Rng rng(11);
   const core::Dataset balanced =
-      BalanceWithAugmenter(train, *GetParam().augmenter, rng);
+      TryBalanceWithAugmenter(train, *GetParam().augmenter, rng).value();
   const std::vector<int> counts = balanced.ClassCounts();
   for (int c : counts) EXPECT_EQ(c, 10) << GetParam().name;
 }

@@ -54,7 +54,7 @@ TEST(TimeGan, PaperScaleConfigMatchesPaper) {
 
 TEST(TimeGan, FitsAndSamplesCorrectShapes) {
   TimeGan gan(TinyConfig());
-  gan.Fit(SineFamily(12, 12, 2, 1));
+  ASSERT_TRUE(gan.TryFit(SineFamily(12, 12, 2, 1)).ok());
   ASSERT_TRUE(gan.fitted());
   core::Rng rng(2);
   const auto samples = gan.Sample(5, rng);
@@ -79,7 +79,7 @@ TEST(TimeGan, SamplesWithinDataRange) {
       hi = std::max(hi, v);
     }
   }
-  gan.Fit(train);
+  ASSERT_TRUE(gan.TryFit(train).ok());
   core::Rng rng(4);
   for (const core::TimeSeries& s : gan.Sample(8, rng)) {
     for (double v : s.values()) {
@@ -95,7 +95,7 @@ TEST(TimeGan, ReconstructionLossDecreases) {
   config.embedding_iterations = 400;
   config.learning_rate = 5e-3;  // tiny net, short schedule: faster rate
   TimeGan gan(config);
-  gan.Fit(SineFamily(16, 12, 1, 5));
+  ASSERT_TRUE(gan.TryFit(SineFamily(16, 12, 1, 5)).ok());
   // Loss is 10*sqrt(MSE) on [0,1]-scaled data; untrained is ~3-5.
   EXPECT_LT(gan.diagnostics().reconstruction_loss, 2.0);
 }
@@ -104,7 +104,7 @@ TEST(TimeGan, LongSeriesCappedToMaxSequenceLength) {
   TimeGanConfig config = TinyConfig();
   config.max_sequence_length = 10;
   TimeGan gan(config);
-  gan.Fit(SineFamily(6, 40, 1, 6));
+  ASSERT_TRUE(gan.TryFit(SineFamily(6, 40, 1, 6)).ok());
   core::Rng rng(7);
   // Raw samples come out at the training length.
   EXPECT_EQ(gan.Sample(1, rng)[0].length(), 10);
@@ -122,14 +122,14 @@ TEST(TimeGanAugmenter, GeneratesAtDatasetLengthAndCachesPerClass) {
 
   TimeGanAugmenter augmenter(TinyConfig());
   core::Rng rng(9);
-  const auto first = augmenter.Generate(train, 1, 4, rng);
+  const auto first = augmenter.TryGenerate(train, 1, 4, rng).value();
   ASSERT_EQ(first.size(), 4u);
   for (const core::TimeSeries& s : first) {
     EXPECT_EQ(s.length(), 20);  // resampled back to dataset length
     EXPECT_EQ(s.num_channels(), 2);
   }
   // Second call reuses the cached per-class model (fast path).
-  const auto second = augmenter.Generate(train, 1, 2, rng);
+  const auto second = augmenter.TryGenerate(train, 1, 2, rng).value();
   EXPECT_EQ(second.size(), 2u);
 }
 

@@ -104,7 +104,7 @@ TEST(InceptionTimeClassifier, FitWithValidationUsesGivenSplit) {
   core::Rng rng(9);
   const auto [train_part, val_part] = data.train.StratifiedSplit(2.0 / 3.0, rng);
   InceptionTimeClassifier clf(TinyConfig(), 2);
-  clf.FitWithValidation(train_part, val_part);
+  ASSERT_TRUE(clf.TryFitWithValidation(train_part, val_part).ok());
   const std::vector<int> predictions = clf.Predict(data.test);
   EXPECT_EQ(predictions.size(), 12u);
 }
@@ -126,9 +126,9 @@ TEST(Trainer, EarlyStoppingRestoresBestState) {
   InceptionNetwork net(1, 2, config, rng);
   const nn::Tensor x_train = DatasetToTensor(data.train, 16, true);
   const nn::Tensor x_val = DatasetToTensor(data.test, 16, true);
-  const nn::TrainResult result = nn::TrainClassifier(
+  const nn::TrainResult result = nn::TryTrainClassifier(
       net, x_train, data.train.labels(), x_val, data.test.labels(),
-      config.trainer, rng);
+      config.trainer, rng).value();
   const double final_accuracy =
       nn::EvaluateAccuracy(net, x_val, data.test.labels());
   EXPECT_NEAR(final_accuracy, result.best_val_accuracy, 1e-12);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/faultpoint.h"
 #include "core/rng.h"
 #include "data/synthetic.h"
 
@@ -95,6 +96,23 @@ TEST(MiniRocketClassifier, MulticlassImbalanced) {
   MiniRocketClassifier clf(500, 2);
   clf.Fit(data.train);
   EXPECT_GE(clf.Score(data.test), 0.6);
+}
+
+TEST(MiniRocketClassifier, SingularRidgeSolveFailsTyped) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 2;
+  spec.train_counts = {10, 10};
+  spec.test_counts = {2, 2};
+  spec.num_channels = 2;
+  spec.length = 24;
+  spec.seed = 13;
+  const data::TrainTest data = data::MakeSynthetic(spec);
+  MiniRocketClassifier clf(200, 3);
+  // Every ridge solve fails, so alpha escalation runs out.
+  core::fault::SetSpec("ridge.solve:1+");
+  const core::Status status = clf.TryFit(data.train);
+  core::fault::Clear();
+  EXPECT_FALSE(status.ok());
 }
 
 }  // namespace

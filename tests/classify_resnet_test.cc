@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/faultpoint.h"
 #include "data/synthetic.h"
 
 namespace tsaug::classify {
@@ -76,8 +77,25 @@ TEST(ResNetClassifier, ExplicitValidationSplit) {
   core::Rng rng(7);
   const auto [train_part, val_part] = data.train.StratifiedSplit(2.0 / 3.0, rng);
   ResNetClassifier clf(TinyResNet(), 8);
-  clf.FitWithValidation(train_part, val_part);
+  ASSERT_TRUE(clf.TryFitWithValidation(train_part, val_part).ok());
   EXPECT_EQ(clf.Predict(data.test).size(), 8u);
+}
+
+TEST(ResNetClassifier, DivergedTrainingFailsTyped) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 2;
+  spec.train_counts = {12, 12};
+  spec.test_counts = {4, 4};
+  spec.num_channels = 1;
+  spec.length = 16;
+  spec.seed = 9;
+  const data::TrainTest data = data::MakeSynthetic(spec);
+  ResNetClassifier clf(TinyResNet(), 10);
+  // Every batch loss is poisoned, so the divergence retries run out.
+  core::fault::SetSpec("trainer.step:1+");
+  const core::Status status = clf.TryFit(data.train);
+  core::fault::Clear();
+  EXPECT_FALSE(status.ok());
 }
 
 }  // namespace

@@ -74,11 +74,11 @@ TEST(ScenarioCatalog, DeterministicInIdAndSeed) {
                                 std::string("combined_worst_case"),
                                 std::string("varlen_extreme")}) {
     SCOPED_TRACE(id);
-    const TrainTest a = MakeScenarioDataset(id, 7);
-    const TrainTest b = MakeScenarioDataset(id, 7);
+    const TrainTest a = TryMakeScenarioDataset(id, 7).value();
+    const TrainTest b = TryMakeScenarioDataset(id, 7).value();
     EXPECT_TRUE(SplitsBitIdentical(a.train, b.train));
     EXPECT_TRUE(SplitsBitIdentical(a.test, b.test));
-    const TrainTest c = MakeScenarioDataset(id, 8);
+    const TrainTest c = TryMakeScenarioDataset(id, 8).value();
     EXPECT_FALSE(SplitsBitIdentical(a.train, c.train));
   }
 }
@@ -86,14 +86,15 @@ TEST(ScenarioCatalog, DeterministicInIdAndSeed) {
 TEST(ScenarioCatalog, ScenariosDrawDecorrelatedStreamsUnderOneSeed) {
   // Two different scenarios under the same study seed must not share
   // generation bits (their seed streams are folded with the id).
-  const TrainTest a = MakeScenarioDataset("drift_step_mild", 7);
-  const TrainTest b = MakeScenarioDataset("constant_channel", 7);
+  const TrainTest a = TryMakeScenarioDataset("drift_step_mild", 7).value();
+  const TrainTest b = TryMakeScenarioDataset("constant_channel", 7).value();
   ASSERT_EQ(a.train.size(), b.train.size());
   EXPECT_FALSE(SplitsBitIdentical(a.train, b.train));
 }
 
 TEST(ScenarioCatalog, DriftShiftsTestNotTrain) {
-  const TrainTest plain = MakeScenarioDataset("drift_step_severe", 7);
+  const TrainTest plain =
+      TryMakeScenarioDataset("drift_step_severe", 7).value();
   // Train carries no drift: a NaN-free healthy validation.
   const core::ValidationReport report =
       core::ValidateDataset(plain.train);
@@ -117,14 +118,16 @@ TEST(ScenarioCatalog, DriftShiftsTestNotTrain) {
 }
 
 TEST(ScenarioCatalog, SingletonScenarioHasSingleMemberClass) {
-  const TrainTest data = MakeScenarioDataset("imbalance_singleton", 7);
+  const TrainTest data =
+      TryMakeScenarioDataset("imbalance_singleton", 7).value();
   const std::vector<int> counts = data.train.ClassCounts();
   ASSERT_EQ(counts.size(), 3u);
   EXPECT_EQ(counts[2], 1);
 }
 
 TEST(ScenarioCatalog, DeadChannelScenarioIsRepairable) {
-  const TrainTest data = MakeScenarioDataset("missing_channel_dead", 7);
+  const TrainTest data =
+      TryMakeScenarioDataset("missing_channel_dead", 7).value();
   const core::ValidationReport report = core::ValidateDataset(data.train);
   EXPECT_FALSE(report.HasFatal());
   EXPECT_TRUE(report.NeedsRepair());
@@ -137,7 +140,7 @@ TEST(ScenarioCatalog, DeadChannelScenarioIsRepairable) {
 }
 
 TEST(ScenarioCatalog, LengthOneScenarioDiagnosesFatalTyped) {
-  const TrainTest data = MakeScenarioDataset("length_one_all", 7);
+  const TrainTest data = TryMakeScenarioDataset("length_one_all", 7).value();
   EXPECT_EQ(data.train.max_length(), 1);
   const core::StatusOr<core::RepairOutcome> repaired =
       core::TryRepairTrainTest(data.train, data.test, core::ValidateOptions{},
@@ -147,7 +150,7 @@ TEST(ScenarioCatalog, LengthOneScenarioDiagnosesFatalTyped) {
 }
 
 TEST(ScenarioCatalog, EmptyClassScenarioKeepsLabelSpace) {
-  const TrainTest data = MakeScenarioDataset("empty_class", 7);
+  const TrainTest data = TryMakeScenarioDataset("empty_class", 7).value();
   EXPECT_EQ(data.train.num_classes(), 3);
   const std::vector<int> train_counts = data.train.ClassCounts();
   const std::vector<int> test_counts = data.test.ClassCounts();
@@ -156,7 +159,7 @@ TEST(ScenarioCatalog, EmptyClassScenarioKeepsLabelSpace) {
 }
 
 TEST(ScenarioCatalog, VarlenTinyMixRepairsByResampling) {
-  const TrainTest data = MakeScenarioDataset("varlen_tiny_mix", 7);
+  const TrainTest data = TryMakeScenarioDataset("varlen_tiny_mix", 7).value();
   EXPECT_EQ(data.train.min_length(), 1);
   EXPECT_GT(data.train.max_length(), 1);
   const core::StatusOr<core::RepairOutcome> repaired =
@@ -169,7 +172,7 @@ TEST(ScenarioCatalog, VarlenTinyMixRepairsByResampling) {
 }
 
 TEST(ScenarioCatalog, SingleChannelScenarioIsUnivariate) {
-  const TrainTest data = MakeScenarioDataset("single_channel", 7);
+  const TrainTest data = TryMakeScenarioDataset("single_channel", 7).value();
   EXPECT_EQ(data.train.num_channels(), 1);
 }
 

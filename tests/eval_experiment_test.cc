@@ -1,6 +1,7 @@
 #include "eval/experiment.h"
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
@@ -8,6 +9,7 @@
 
 #include "augment/noise.h"
 #include "augment/oversample.h"
+#include "eval/journal.h"
 #include "eval/report.h"
 
 namespace tsaug::eval {
@@ -81,14 +83,15 @@ TEST(StudyResult, AverageImprovementAndCounts) {
   EXPECT_EQ(counts.at("timegan"), 1);  // only y
 }
 
-TEST(RunDatasetGrid, RocketGridProducesSaneAccuracies) {
+TEST(TryRunDatasetGrid, RocketGridProducesSaneAccuracies) {
   const data::TrainTest data = SmallData();
   std::vector<std::shared_ptr<augment::Augmenter>> techniques = {
       std::make_shared<augment::NoiseInjection>(1.0),
       std::make_shared<augment::Smote>(),
   };
-  const DatasetRow row =
-      RunDatasetGrid("toy", data, techniques, QuickConfig(ModelKind::kRocket));
+  const DatasetRow row = TryRunDatasetGrid("toy", data, techniques,
+                                           QuickConfig(ModelKind::kRocket))
+                             .value();
   EXPECT_EQ(row.dataset, "toy");
   EXPECT_GT(row.baseline_accuracy, 0.5);
   ASSERT_EQ(row.cells.size(), 2u);
@@ -98,25 +101,27 @@ TEST(RunDatasetGrid, RocketGridProducesSaneAccuracies) {
   }
 }
 
-TEST(RunDatasetGrid, InceptionGridRuns) {
+TEST(TryRunDatasetGrid, InceptionGridRuns) {
   const data::TrainTest data = SmallData(2);
   std::vector<std::shared_ptr<augment::Augmenter>> techniques = {
       std::make_shared<augment::Smote>(),
   };
-  const DatasetRow row = RunDatasetGrid(
-      "toy", data, techniques, QuickConfig(ModelKind::kInceptionTime));
+  const DatasetRow row = TryRunDatasetGrid(
+      "toy", data, techniques, QuickConfig(ModelKind::kInceptionTime)).value();
   EXPECT_GT(row.baseline_accuracy, 0.3);
   EXPECT_GT(row.cells[0].accuracy, 0.3);
 }
 
-TEST(RunDatasetGrid, DeterministicAcrossCalls) {
+TEST(TryRunDatasetGrid, DeterministicAcrossCalls) {
   const data::TrainTest data = SmallData(3);
   std::vector<std::shared_ptr<augment::Augmenter>> techniques = {
       std::make_shared<augment::NoiseInjection>(1.0),
   };
   const ExperimentConfig config = QuickConfig(ModelKind::kRocket);
-  const DatasetRow a = RunDatasetGrid("toy", data, techniques, config);
-  const DatasetRow b = RunDatasetGrid("toy", data, techniques, config);
+  const DatasetRow a =
+      TryRunDatasetGrid("toy", data, techniques, config).value();
+  const DatasetRow b =
+      TryRunDatasetGrid("toy", data, techniques, config).value();
   EXPECT_DOUBLE_EQ(a.baseline_accuracy, b.baseline_accuracy);
   EXPECT_DOUBLE_EQ(a.cells[0].accuracy, b.cells[0].accuracy);
 }
@@ -405,6 +410,28 @@ TEST(ConfigFingerprint, CoversIdentityButNotDurabilityKnobs) {
   durable.journal_path = "/tmp/elsewhere.jsonl";
   durable.cell_budget_seconds = 123.0;
   EXPECT_EQ(ConfigFingerprint(durable, techniques), base);
+}
+
+TEST(RunStudy, MismatchedJournalFingerprintFailsTyped) {
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) / "study_mismatch.jsonl")
+          .string();
+  std::filesystem::remove(path);
+  {
+    Journal other;
+    ASSERT_TRUE(other.Open(path, "some other experiment").ok());
+  }
+  BenchSettings settings;
+  settings.runs = 1;
+  settings.rocket_kernels = 50;
+  settings.datasets = {"Epilepsy"};
+  settings.techniques = {"noise_1.0"};
+  settings.journal_path = path;
+  const core::StatusOr<StudyResult> study =
+      RunStudy(settings, ModelKind::kRocket);
+  ASSERT_FALSE(study.ok());
+  EXPECT_NE(study.status().context().find("fingerprint mismatch"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ std::vector<std::shared_ptr<augment::Augmenter>> Techniques() {
 
 DatasetRow RunToyGrid(const ExperimentConfig& config,
                       const data::TrainTest& data) {
-  return RunDatasetGrid("toy", data, Techniques(), config);
+  return TryRunDatasetGrid("toy", data, Techniques(), config).value();
 }
 
 TEST(FaultTolerance, CleanGridReportsNoFailuresOrRetries) {

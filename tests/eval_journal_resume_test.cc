@@ -169,7 +169,8 @@ TEST(JournalResume, RocketRowsTransformedOnceAndNotAgainOnResume) {
   const bool trace_was_enabled = core::trace::Enabled();
   core::trace::Enable();
   core::trace::Reset();
-  const DatasetRow row = RunDatasetGrid("toy", data, techniques(), config);
+  const DatasetRow row =
+      TryRunDatasetGrid("toy", data, techniques(), config).value();
   EXPECT_EQ(row.baseline_failed_runs, 0);
   for (const CellResult& cell : row.cells) EXPECT_EQ(cell.failed_runs, 0);
   EXPECT_EQ(core::trace::CounterValue("transform.rocket.rows"),
@@ -177,7 +178,8 @@ TEST(JournalResume, RocketRowsTransformedOnceAndNotAgainOnResume) {
   EXPECT_EQ(core::trace::CounterValue("eval.rocket_shared_miss"), 0);
 
   core::trace::Reset();
-  const DatasetRow resumed = RunDatasetGrid("toy", data, techniques(), config);
+  const DatasetRow resumed =
+      TryRunDatasetGrid("toy", data, techniques(), config).value();
   EXPECT_EQ(resumed.resumed_cells, 6);
   EXPECT_EQ(resumed.baseline_accuracy, row.baseline_accuracy);
   EXPECT_EQ(core::trace::CounterValue("transform.rocket.rows"), 0);

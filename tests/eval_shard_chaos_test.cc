@@ -8,7 +8,9 @@
 //     at 1, 2 and 8 worker threads;
 //   - spawn faults and journal-heartbeat hangs are likewise retried;
 //   - a shard that exhausts its retries surfaces as failed kUnavailable
-//     cells in the report (never accuracy 0) and the run still exits 0.
+//     cells in the report (never accuracy 0) and the run still exits 0;
+//   - bad input (unknown dataset names, malformed integer flags, an
+//     unknown suite) exits 2 before any report is written.
 #include <sys/wait.h>
 
 #include <cstdlib>
@@ -196,6 +198,49 @@ TEST(ShardChaos, ExhaustedRetriesSurfaceAsFailedCellsNotAccuracyZero) {
   const std::string counters = ReadAll(trace);
   EXPECT_GE(Counter(counters, "shard.failed"), 1);
   EXPECT_EQ(Counter(counters, "shard.completed"), 1);
+}
+
+TEST(ShardChaos, BadInputExitsTwoWithoutWritingAReport) {
+  if (ShardBinary() == nullptr) GTEST_SKIP() << "TSAUG_SHARD_BIN unset";
+  const std::string out = TempDirFor("shard_bad_input.txt");
+  const std::string dir = TempDirFor("shard_bad_input_j");
+  struct Case {
+    const char* datasets;
+    const char* args;
+  };
+  const Case cases[] = {
+      {"Bogus", "--shards 0"},
+      {"Bogus", "--suite stress --shards 0"},
+      {"Epilepsy", "--suite stress --shards 0"},
+      {"length_one_all", "--shards 0"},
+      {"Epilepsy", "--shards x"},
+      {"Epilepsy", "--shards 2x"},
+      {"Epilepsy", "--shards -1"},
+      {"Epilepsy", "--shards 99999999999"},
+      {"Epilepsy", "--shards 0 --suite bogus"},
+      {"Epilepsy", "--shards 2 --max-retries two"},
+      {"Epilepsy", "--shards 2 --poll-ms 0"},
+      {"Epilepsy", "--shards 2 --backoff-ms"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.datasets) + " / " + c.args);
+    std::filesystem::remove(out);
+    std::filesystem::remove_all(dir);
+    std::string command = "TSAUG_DATASETS='";
+    command += c.datasets;
+    command += "' TSAUG_JOURNAL='' '";
+    command += ShardBinary();
+    command += "' --journal-dir '";
+    command += dir;
+    command += "' --out '";
+    command += out;
+    command += "' ";
+    command += c.args;
+    command += " 2>/dev/null";
+    const int status = std::system(command.c_str());
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2);
+    EXPECT_FALSE(std::filesystem::exists(out));
+  }
 }
 
 }  // namespace

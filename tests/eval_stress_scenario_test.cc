@@ -1,6 +1,6 @@
 // Chaos tests for the stress-scenario grid (data/scenarios.h +
-// core/validate.h), driven through the real tools/stress_grid_main binary
-// (path in TSAUG_STRESS_BIN):
+// core/validate.h), driven through the real tools/grid_shard_main binary
+// with --suite stress (path in TSAUG_STRESS_BIN):
 //   - the full catalog grid (>= 200 cells) completes crash-free: exit 0,
 //     every cell journaled, and every failed cell carries a typed Status
 //     (never an abort, never a fabricated accuracy 0);
@@ -36,7 +36,7 @@ std::string ReadAll(const std::string& path) {
 
 const char* StressBinary() { return std::getenv("TSAUG_STRESS_BIN"); }
 
-/// Runs stress_grid_main over the full scenario catalog (2 runs x
+/// Runs the stress suite over the full scenario catalog (2 runs x
 /// {baseline, noise_1.0, noise_3.0, smote} per scenario — 4 cells x 2
 /// runs x catalog size, comfortably over the 200-cell bar) with `args`
 /// appended. Returns the raw std::system wait status.
@@ -55,6 +55,7 @@ int RunStress(const std::string& args, int threads,
   command += StressBinary();
   command += "' ";
   command += args;
+  command += " --suite stress";
   return std::system(command.c_str());
 }
 

@@ -43,11 +43,11 @@ TEST(CholeskySolve, SolvesLinearSystem) {
   EXPECT_LT(MaxAbsDiff(x, x_true), 1e-8);
 }
 
-TEST(CholeskySolveJittered, HandlesSemiDefinite) {
+TEST(TryCholeskySolveJittered, HandlesSemiDefinite) {
   // Rank-1 PSD matrix; plain Cholesky fails, jitter rescues it.
   Matrix a = Matrix::FromRows({{1, 1}, {1, 1}});
   Matrix b = Matrix::FromRows({{1}, {1}});
-  Matrix x = CholeskySolveJittered(a, b);
+  Matrix x = TryCholeskySolveJittered(a, b).value();
   ASSERT_FALSE(x.empty());
   // Solution of (A + eps I) x = b stays close to a least-norm solution.
   Matrix residual = Sub(MatMul(a, x), b);

@@ -21,7 +21,7 @@ TEST(RidgeRegression, RecoversLinearMapAtSmallAlpha) {
     y(i, 0) = 2.0 * x(i, 0) - x(i, 1) + 0.5 * x(i, 2) + 3.0;
   }
   RidgeRegression model;
-  model.Fit(x, y, 1e-8);
+  ASSERT_TRUE(model.TryFit(x, y, 1e-8).ok());
   EXPECT_NEAR(model.weights()(0, 0), 2.0, 1e-4);
   EXPECT_NEAR(model.weights()(1, 0), -1.0, 1e-4);
   EXPECT_NEAR(model.weights()(2, 0), 0.5, 1e-4);
@@ -36,7 +36,8 @@ TEST(RidgeRegression, PrimalAndDualAgree) {
   for (double& v : y.data()) v = rng.Normal();
 
   RidgeRegression primal;
-  primal.Fit(x_tall, y, 0.7);  // 5 features <= 40 samples -> primal
+  // 5 features <= 40 samples -> primal
+  ASSERT_TRUE(primal.TryFit(x_tall, y, 0.7).ok());
 
   // Same problem fed through the dual path by transposing the role: build a
   // wide matrix from the same data by fitting on fewer samples than
@@ -48,7 +49,7 @@ TEST(RidgeRegression, PrimalAndDualAgree) {
   for (double& v : y_wide.data()) v = rng.Normal();
   RidgeRegression dual;
   const double alpha = 0.3;
-  dual.Fit(x_wide, y_wide, alpha);
+  ASSERT_TRUE(dual.TryFit(x_wide, y_wide, alpha).ok());
   // Optimality of centred ridge: Xc^T (Yc - Xc W) = alpha W.
   Matrix xc = x_wide;
   xc.CenterColumns(x_wide.ColMeans());
@@ -66,9 +67,9 @@ TEST(RidgeRegression, LargerAlphaShrinksWeights) {
   Matrix y(30, 1);
   for (int i = 0; i < 30; ++i) y(i, 0) = x(i, 0) + rng.Normal(0, 0.1);
   RidgeRegression small;
-  small.Fit(x, y, 1e-6);
+  ASSERT_TRUE(small.TryFit(x, y, 1e-6).ok());
   RidgeRegression large;
-  large.Fit(x, y, 1e3);
+  ASSERT_TRUE(large.TryFit(x, y, 1e3).ok());
   double small_norm = 0.0;
   double large_norm = 0.0;
   for (double v : small.weights().data()) small_norm += v * v;
@@ -101,7 +102,7 @@ TEST(RidgeClassifierCV, SeparatesGaussianBlobs) {
   Matrix x = GaussianBlobs(labels, 4.0, rng);
 
   RidgeClassifierCV clf;
-  clf.Fit(x, labels, 3);
+  ASSERT_TRUE(clf.TryFit(x, labels, 3).ok());
   EXPECT_GT(clf.Score(x, labels), 0.95);
 
   std::vector<int> test_labels;
@@ -116,7 +117,7 @@ TEST(RidgeClassifierCV, SelectsAlphaFromGrid) {
   for (int i = 0; i < 40; ++i) labels.push_back(i % 2);
   Matrix x = GaussianBlobs(labels, 2.0, rng);
   RidgeClassifierCV clf({0.01, 1.0, 100.0});
-  clf.Fit(x, labels, 2);
+  ASSERT_TRUE(clf.TryFit(x, labels, 2).ok());
   EXPECT_TRUE(clf.best_alpha() == 0.01 || clf.best_alpha() == 1.0 ||
               clf.best_alpha() == 100.0);
 }
@@ -130,7 +131,7 @@ TEST(RidgeClassifierCV, LoocvPrefersRegularizationUnderNoise) {
   std::vector<int> labels;
   for (int i = 0; i < 12; ++i) labels.push_back(i % 2);
   RidgeClassifierCV clf({1e-6, 1e3});
-  clf.Fit(x, labels, 2);
+  ASSERT_TRUE(clf.TryFit(x, labels, 2).ok());
   EXPECT_DOUBLE_EQ(clf.best_alpha(), 1e3);
 }
 
@@ -139,7 +140,7 @@ TEST(RidgeClassifierCV, DecisionFunctionShape) {
   std::vector<int> labels = {0, 1, 2, 0, 1, 2, 0, 1, 2};
   Matrix x = GaussianBlobs(labels, 3.0, rng);
   RidgeClassifierCV clf;
-  clf.Fit(x, labels, 3);
+  ASSERT_TRUE(clf.TryFit(x, labels, 3).ok());
   Matrix scores = clf.DecisionFunction(x);
   EXPECT_EQ(scores.rows(), 9);
   EXPECT_EQ(scores.cols(), 3);
@@ -157,7 +158,7 @@ TEST(RidgeClassifierCV, WideFeatureMatrix) {
     }
   }
   RidgeClassifierCV clf;
-  clf.Fit(x, labels, 2);
+  ASSERT_TRUE(clf.TryFit(x, labels, 2).ok());
   EXPECT_GT(clf.Score(x, labels), 0.9);
 }
 

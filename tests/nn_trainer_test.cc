@@ -63,7 +63,8 @@ TEST(TrainClassifier, LearnsLinearlySeparableTask) {
   config.learning_rate = 0.05;
   config.batch_size = 8;
   const TrainResult result =
-      TrainClassifier(net, x_train, y_train, x_val, y_val, config, rng);
+      TryTrainClassifier(net, x_train, y_train, x_val, y_val, config, rng)
+          .value();
   EXPECT_GE(result.best_val_accuracy, 0.9);
   EXPECT_EQ(static_cast<int>(result.epoch_train_losses.size()),
             result.epochs_run);
@@ -90,7 +91,8 @@ TEST(TrainClassifier, EarlyStoppingLimitsEpochs) {
   config.early_stopping_patience = 5;
   config.learning_rate = 0.05;
   const TrainResult result =
-      TrainClassifier(net, x_train, y_train, x_val, y_val, config, rng);
+      TryTrainClassifier(net, x_train, y_train, x_val, y_val, config, rng)
+          .value();
   EXPECT_LT(result.epochs_run, 200);
 }
 

@@ -88,7 +88,8 @@ TEST(TrainResultTiming, EpochSecondsPopulatedWithoutTracing) {
   config.learning_rate = 0.05;
   config.batch_size = 8;
   const TrainResult result =
-      TrainClassifier(net, x_train, y_train, x_val, y_val, config, rng);
+      TryTrainClassifier(net, x_train, y_train, x_val, y_val, config, rng)
+          .value();
 
   ASSERT_GT(result.epochs_run, 0);
   EXPECT_EQ(static_cast<int>(result.epoch_seconds.size()), result.epochs_run);
@@ -115,7 +116,8 @@ TEST(TrainResultTiming, LrSearchTimedWhenRangeTestRuns) {
   config.learning_rate = 0.0;  // triggers FindLearningRate
   config.batch_size = 8;
   const TrainResult result =
-      TrainClassifier(net, x_train, y_train, x_val, y_val, config, rng);
+      TryTrainClassifier(net, x_train, y_train, x_val, y_val, config, rng)
+          .value();
 
   EXPECT_GT(result.learning_rate, 0.0);
   EXPECT_GE(result.lr_search_seconds, 0.0);
@@ -141,7 +143,8 @@ TEST(TrainerTracing, EmitsEpochScopesAndCounters) {
   config.learning_rate = 0.05;
   config.batch_size = 8;
   const TrainResult result =
-      TrainClassifier(net, x_train, y_train, x_val, y_val, config, rng);
+      TryTrainClassifier(net, x_train, y_train, x_val, y_val, config, rng)
+          .value();
 
   EXPECT_EQ(trace::CounterValue("train.epochs"),
             static_cast<std::int64_t>(result.epochs_run));
@@ -220,7 +223,8 @@ TEST(TrainerTracing, EarlyStoppingPatienceRestoresBestWeights) {
   config.learning_rate = 0.05;
   config.batch_size = 8;
   const TrainResult result =
-      TrainClassifier(net, x_train, y_train, x_val, y_val, config, rng);
+      TryTrainClassifier(net, x_train, y_train, x_val, y_val, config, rng)
+          .value();
 
   EXPECT_LT(result.epochs_run, config.max_epochs);
   // One timing entry per epoch actually run, including the final epoch

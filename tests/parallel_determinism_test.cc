@@ -191,7 +191,7 @@ TEST(ParallelDeterminism, ExperimentGridIdentical) {
         std::make_shared<augment::NoiseInjection>(1.0),
         std::make_shared<augment::Smote>(),
     };
-    return eval::RunDatasetGrid("toy", data, techniques, config);
+    return eval::TryRunDatasetGrid("toy", data, techniques, config).value();
   };
 
   core::SetNumThreads(1);
@@ -229,7 +229,7 @@ TEST(ParallelDeterminism, TracingEnabledGridIdentical) {
         std::make_shared<augment::NoiseInjection>(1.0),
         std::make_shared<augment::Smote>(),
     };
-    return eval::RunDatasetGrid("toy", data, techniques, config);
+    return eval::TryRunDatasetGrid("toy", data, techniques, config).value();
   };
 
   // Reference row computed with tracing off.
@@ -370,7 +370,8 @@ void ExpectGridMatchesDirectCalls(const std::string& name,
                                core::kernels::BackendName(backend) + ", " +
                                std::to_string(threads) + " threads";
       const eval::DatasetRow row =
-          eval::RunDatasetGrid(name, data, SharedGridTechniques(), config);
+          eval::TryRunDatasetGrid(name, data, SharedGridTechniques(), config)
+              .value();
       const std::vector<DirectCell> direct = DirectRunCells(name, data, config);
       ASSERT_EQ(direct.size(), row.cells.size() + 1) << what;
       for (size_t c = 0; c < direct.size(); ++c) {
@@ -411,8 +412,8 @@ TEST(ParallelDeterminism, GridScoresMatchDirectCalls) {
 TEST(ParallelDeterminism, VariableLengthGridScoresMatchDirectCalls) {
   std::int64_t misses = -1;
   ExpectGridMatchesDirectCalls(
-      "varlen_tiny_mix", data::MakeScenarioDataset("varlen_tiny_mix", 5),
-      &misses);
+      "varlen_tiny_mix",
+      data::TryMakeScenarioDataset("varlen_tiny_mix", 5).value(), &misses);
   EXPECT_EQ(misses, 0);
 }
 
@@ -423,7 +424,8 @@ TEST(ParallelDeterminism, SharedFeaturesFallBackUnlessTrainingSetExtendsBase) {
   ThreadCountGuard guard;
   const bool trace_was_enabled = core::trace::Enabled();
   core::trace::Enable();
-  const data::TrainTest data = data::MakeScenarioDataset("varlen_tiny_mix", 5);
+  const data::TrainTest data =
+      data::TryMakeScenarioDataset("varlen_tiny_mix", 5).value();
   const core::Dataset& base = data.train;
   eval::ExperimentConfig config;
   config.model = eval::ModelKind::kRocket;
@@ -547,7 +549,8 @@ TEST(ParallelDeterminism, GenerativeBalanceIdentical) {
       const int extra = balance ? majority - count
                                 : static_cast<int>(count * 0.5 + 0.5);
       if (extra <= 0) continue;
-      for (core::TimeSeries& s : augmenter.Generate(train, label, extra, rng)) {
+      auto generated = augmenter.TryGenerate(train, label, extra, rng).value();
+      for (core::TimeSeries& s : generated) {
         out.Add(std::move(s), label);
       }
     }
@@ -571,13 +574,15 @@ TEST(ParallelDeterminism, GenerativeBalanceIdentical) {
       const std::string what = name + ", " + std::to_string(threads) +
                                " threads";
       core::Rng balance_rng(17);
-      expect_same(balanced,
-                  augment::BalanceWithAugmenter(train, *make(), balance_rng),
-                  "balance " + what);
+      expect_same(
+          balanced,
+          augment::TryBalanceWithAugmenter(train, *make(), balance_rng).value(),
+          "balance " + what);
       core::Rng expand_rng(17);
       expect_same(
           expanded,
-          augment::ExpandWithAugmenter(train, *make(), 0.5, expand_rng),
+          augment::TryExpandWithAugmenter(train, *make(), 0.5, expand_rng)
+              .value(),
           "expand " + what);
     }
   }

@@ -4,30 +4,47 @@
 // per-shard journals and replays them into a report byte-identical to a
 // single-process run.
 //
-// Modes:
-//   grid_shard_main --shards N --journal-dir DIR --out PATH   supervisor
-//   grid_shard_main --shards 0 --out PATH                     golden (one
-//                                                             process, no
-//                                                             sharding)
-//   grid_shard_main --worker --shard i/N --attempt K
-//                   --journal PATH                            (internal)
+// Suites (--suite):
+//   paper    the 13 UEA-like Table III datasets (data/uea_catalog.h)
+//   stress   the stress-scenario catalog (data/scenarios.h; DESIGN.md,
+//            "Scenario catalog & preflight validation"): concept drift,
+//            extreme imbalance, structured missingness, degenerate
+//            geometries. Every scenario either repairs deterministically
+//            in preflight or surfaces as typed failed cells. The config's
+//            dataset_suite is pinned to "stress", so a stress journal can
+//            never be replayed against the paper suite.
 //
-// Supervisor flags:
+// Modes:
+//   grid_shard_main --list                                   print suite
+//   grid_shard_main --shards N --journal-dir DIR --out PATH  supervisor
+//   grid_shard_main --shards 0 --out PATH                    golden (one
+//                                                            process, no
+//                                                            sharding)
+//   grid_shard_main --worker --shard i/N --attempt K
+//                   --journal PATH                           (internal)
+//
+// Flags:
+//   --suite NAME         paper|stress                          (paper)
+//   --model NAME         rocket|inception                      (rocket)
 //   --max-retries R      restarts per shard after its first attempt (2)
 //   --backoff-ms B       initial restart backoff               (50)
 //   --backoff-max-ms M   backoff cap                           (2000)
 //   --hang-timeout-ms H  journal-heartbeat hang kill, 0 = off  (0)
 //   --poll-ms P          supervisor poll interval              (20)
 //   --trace-json PATH    enable tracing; write the report at exit
-//   --model NAME         rocket|inception                      (rocket)
 //
 // The grid itself (scale, runs, kernels, datasets, techniques, seed) is
 // configured via the TSAUG_* environment (eval/report.h), which worker
-// processes inherit — no grid flag forwarding.
+// processes inherit — no grid flag forwarding. TSAUG_DATASETS selects a
+// subset of the suite (unknown names are a usage error); unset runs all of
+// it.
 //
 // Exit codes: 0 = run completed (shards that exhausted retries surface as
 // failed cells in the report, they do not sink the run); 1 = supervisor/
 // infrastructure error; 2 = usage or worker error; 3 = interrupted.
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +55,7 @@
 #include "core/cancel.h"
 #include "core/status.h"
 #include "core/trace.h"
+#include "data/scenarios.h"
 #include "data/uea_catalog.h"
 #include "eval/journal.h"
 #include "eval/report.h"
@@ -57,12 +75,58 @@ bool WriteFile(const std::string& path, const std::string& text) {
   return std::fclose(f) == 0 && wrote;
 }
 
+/// Writes the canonical report to `out_path` and, when `trace_json` is
+/// set, the trace report; false (after saying why) on a failed write.
+bool WriteReports(const tsaug::eval::StudyResult& study,
+                  const std::string& out_path, const std::string& trace_json) {
+  const tsaug::core::Status written =
+      tsaug::eval::WriteCanonicalReport(study, out_path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "grid_shard_main: %s\n", written.ToString().c_str());
+    return false;
+  }
+  if (!trace_json.empty() &&
+      !WriteFile(trace_json, tsaug::core::trace::ReportJson())) {
+    std::fprintf(stderr, "grid_shard_main: cannot write %s\n",
+                 trace_json.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Parses the whole of `text` as a base-10 int no smaller than `min`.
+bool ParseInt(const char* text, int min, int* out) {
+  if (text == nullptr || *text == '\0') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value < min || value > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+/// Parses "i/N" with 0 <= i < N.
+bool ParseShard(const char* text, int* index, int* count) {
+  if (text == nullptr) return false;
+  const char* slash = std::strchr(text, '/');
+  if (slash == nullptr) return false;
+  const std::string head(text, slash);
+  return ParseInt(head.c_str(), 0, index) && ParseInt(slash + 1, 1, count) &&
+         *index < *count;
+}
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --shards N --journal-dir DIR --out PATH [...]\n"
-               "       %s --shards 0 --out PATH   (unsharded golden run)\n"
+               "usage: %s [--suite paper|stress] --shards N --journal-dir DIR "
+               "--out PATH [...]\n"
+               "       %s [--suite paper|stress] --shards 0 --out PATH   "
+               "(unsharded golden run)\n"
+               "       %s [--suite paper|stress] --list                  "
+               "(print the suite)\n"
                "see the header comment in tools/grid_shard_main.cc\n",
-               argv0, argv0);
+               argv0, argv0, argv0);
   return 2;
 }
 
@@ -70,6 +134,7 @@ int Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   bool worker = false;
+  bool list = false;
   int shard_index = 0;
   int worker_shard_count = 0;
   int attempt = 1;
@@ -78,6 +143,7 @@ int main(int argc, char** argv) {
   std::string journal_dir;
   std::string out_path;
   std::string trace_json;
+  std::string suite = "paper";
   std::string model_name = "rocket";
   SupervisorOptions options;
 
@@ -87,66 +153,88 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
+    // Integer flags: the whole token must parse, at least `min`.
+    auto int_value = [&](int min, int* out) {
+      return ParseInt(value(), min, out);
+    };
+    // String flags: a following token must exist.
+    auto string_value = [&](std::string* out) {
+      const char* v = value();
+      if (v != nullptr) *out = v;
+      return v != nullptr;
+    };
+    bool ok = true;
     if (flag == "--worker") {
       worker = true;
+    } else if (flag == "--list") {
+      list = true;
     } else if (flag == "--shard") {
-      const char* v = value();
-      if (v == nullptr ||
-          std::sscanf(v, "%d/%d", &shard_index, &worker_shard_count) != 2) {
-        return Usage(argv[0]);
-      }
+      ok = ParseShard(value(), &shard_index, &worker_shard_count);
     } else if (flag == "--attempt") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      attempt = std::atoi(v);
+      ok = int_value(1, &attempt);
     } else if (flag == "--journal") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      worker_journal = v;
+      ok = string_value(&worker_journal);
     } else if (flag == "--shards") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      shards = std::atoi(v);
+      ok = int_value(0, &shards);
     } else if (flag == "--journal-dir") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      journal_dir = v;
+      ok = string_value(&journal_dir);
     } else if (flag == "--out") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      out_path = v;
+      ok = string_value(&out_path);
     } else if (flag == "--trace-json") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      trace_json = v;
+      ok = string_value(&trace_json);
+    } else if (flag == "--suite") {
+      ok = string_value(&suite);
     } else if (flag == "--model") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      model_name = v;
+      ok = string_value(&model_name);
     } else if (flag == "--max-retries") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_retries = std::atoi(v);
+      ok = int_value(0, &options.max_retries);
     } else if (flag == "--backoff-ms") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      options.backoff_initial_ms = std::atoi(v);
+      ok = int_value(0, &options.backoff_initial_ms);
     } else if (flag == "--backoff-max-ms") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      options.backoff_max_ms = std::atoi(v);
+      ok = int_value(0, &options.backoff_max_ms);
     } else if (flag == "--hang-timeout-ms") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      options.hang_timeout_ms = std::atoi(v);
+      ok = int_value(0, &options.hang_timeout_ms);
     } else if (flag == "--poll-ms") {
-      const char* v = value();
-      if (v == nullptr) return Usage(argv[0]);
-      options.poll_interval_ms = std::atoi(v);
+      ok = int_value(1, &options.poll_interval_ms);
     } else {
       std::fprintf(stderr, "grid_shard_main: unknown flag %s\n", flag.c_str());
       return Usage(argv[0]);
     }
+    if (!ok) {
+      std::fprintf(stderr, "grid_shard_main: bad or missing value for %s\n",
+                   flag.c_str());
+      return Usage(argv[0]);
+    }
+  }
+
+  if (suite != "paper" && suite != "stress") {
+    std::fprintf(stderr, "grid_shard_main: unknown --suite %s\n",
+                 suite.c_str());
+    return 2;
+  }
+  const bool stress = suite == "stress";
+  std::vector<std::string> suite_names;
+  if (stress) {
+    suite_names = tsaug::data::ScenarioIds();
+  } else {
+    for (const tsaug::data::UeaDatasetInfo& info :
+         tsaug::data::UeaImbalancedCatalog()) {
+      suite_names.push_back(info.name);
+    }
+  }
+  if (list) {
+    if (stress) {
+      for (const tsaug::data::ScenarioInfo& info :
+           tsaug::data::ScenarioCatalog()) {
+        std::printf("%-26s %-10s %s\n", info.id.c_str(), info.family.c_str(),
+                    info.summary.c_str());
+      }
+    } else {
+      for (const std::string& name : suite_names) {
+        std::printf("%s\n", name.c_str());
+      }
+    }
+    return 0;
   }
 
   ModelKind model = ModelKind::kRocket;
@@ -160,23 +248,29 @@ int main(int argc, char** argv) {
 
   const BenchSettings settings = tsaug::eval::ReadBenchSettings();
   ExperimentConfig config = tsaug::eval::MakeExperimentConfig(settings, model);
+  if (stress) config.dataset_suite = "stress";
   const auto techniques = tsaug::eval::MakePaperTechniques(settings);
   std::vector<std::string> names = settings.datasets;
-  if (names.empty()) {
-    for (const tsaug::data::UeaDatasetInfo& info :
-         tsaug::data::UeaImbalancedCatalog()) {
-      names.push_back(info.name);
+  if (names.empty()) names = suite_names;
+  for (const std::string& name : names) {
+    if (std::find(suite_names.begin(), suite_names.end(), name) ==
+        suite_names.end()) {
+      std::fprintf(stderr, "grid_shard_main: unknown %s dataset '%s'\n",
+                   suite.c_str(), name.c_str());
+      return 2;
     }
   }
   const tsaug::eval::DatasetLoader loader =
-      [&settings](const std::string& name) {
-        return tsaug::data::MakeUeaLikeDataset(name, settings.scale,
-                                               settings.seed);
-      };
+      [&settings, stress](const std::string& name) -> tsaug::data::TrainTest {
+    if (stress) {
+      return tsaug::data::TryMakeScenarioDataset(name, settings.seed).value();
+    }
+    return tsaug::data::MakeUeaLikeDataset(name, settings.scale,
+                                           settings.seed);
+  };
 
   if (worker) {
-    if (worker_shard_count < 1 || shard_index < 0 ||
-        shard_index >= worker_shard_count || worker_journal.empty()) {
+    if (worker_shard_count < 1 || worker_journal.empty()) {
       return Usage(argv[0]);
     }
     tsaug::core::InstallStopSignalHandlers();
@@ -213,18 +307,7 @@ int main(int argc, char** argv) {
                    study.status().ToString().c_str());
       return 1;
     }
-    const tsaug::core::Status written =
-        tsaug::eval::WriteCanonicalReport(*study, out_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "grid_shard_main: %s\n", written.ToString().c_str());
-      return 1;
-    }
-    if (!trace_json.empty() &&
-        !WriteFile(trace_json, tsaug::core::trace::ReportJson())) {
-      std::fprintf(stderr, "grid_shard_main: cannot write %s\n",
-                   trace_json.c_str());
-      return 1;
-    }
+    if (!WriteReports(*study, out_path, trace_json)) return 1;
     return study->interrupted ? 3 : 0;
   }
 
@@ -232,6 +315,10 @@ int main(int argc, char** argv) {
   // exists in this process until the post-merge replay below.
   if (journal_dir.empty()) return Usage(argv[0]);
   options.worker_command.push_back(argv[0]);
+  if (stress) {
+    options.worker_command.emplace_back("--suite");
+    options.worker_command.push_back(suite);
+  }
   if (model != ModelKind::kRocket) {
     options.worker_command.emplace_back("--model");
     options.worker_command.push_back(model_name);
@@ -284,8 +371,10 @@ int main(int argc, char** argv) {
                merged->cells, merged->duplicates, merged->dropped_lines);
 
   // Replay: a resume-only grid against the merged journal. Every cell the
-  // shards completed is restored bit for bit; cells a failed shard never
-  // finished surface as failed (kUnavailable), never as accuracy 0.
+  // shards completed — preflight-failed stress scenarios included, which
+  // are journaled like any other failure — is restored bit for bit; cells
+  // a failed shard never finished surface as failed (kUnavailable), never
+  // as accuracy 0.
   ExperimentConfig replay = config;
   replay.journal_path = merged_path;
   replay.resume_only = true;
@@ -296,18 +385,7 @@ int main(int argc, char** argv) {
                  study.status().ToString().c_str());
     return 1;
   }
-  const tsaug::core::Status written =
-      tsaug::eval::WriteCanonicalReport(*study, out_path);
-  if (!written.ok()) {
-    std::fprintf(stderr, "grid_shard_main: %s\n", written.ToString().c_str());
-    return 1;
-  }
-  if (!trace_json.empty() &&
-      !WriteFile(trace_json, tsaug::core::trace::ReportJson())) {
-    std::fprintf(stderr, "grid_shard_main: cannot write %s\n",
-                 trace_json.c_str());
-    return 1;
-  }
+  if (!WriteReports(*study, out_path, trace_json)) return 1;
   std::printf("grid_shard_main: report written to %s (%s)\n", out_path.c_str(),
               supervised->all_succeeded ? "all shards completed"
                                         : "with failed shards");
