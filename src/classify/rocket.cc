@@ -74,53 +74,43 @@ void RocketTransform::Fit(int num_channels, int series_length) {
   }
 }
 
-namespace {
-
-/// Accumulates PPV / max statistics over a range of convolution positions.
-/// `Checked` guards every tap against the series bounds (needed only for
-/// padded boundary positions); interior positions skip the test entirely.
-template <bool Checked>
-void AccumulatePositions(const nn::Tensor& data, int i, int time,
-                         const RocketKernel& kernel, int pos_lo, int pos_hi,
-                         std::int64_t& positive, double& max_activation) {
-  for (int pos = pos_lo; pos < pos_hi; ++pos) {
-    double activation = kernel.bias;
-    for (size_t c = 0; c < kernel.channels.size(); ++c) {
-      const int channel = kernel.channels[c];
-      const double* w = kernel.weights.data() + c * static_cast<size_t>(kernel.length);
-      for (int tap = 0; tap < kernel.length; ++tap) {
-        const int t = pos + tap * kernel.dilation;
-        if constexpr (Checked) {
-          if (t < 0 || t >= time) continue;
-        }
-        activation += w[tap] * data.at(i, channel, t);
-      }
-    }
-    if (activation > 0.0) ++positive;
-    max_activation = std::max(max_activation, activation);
-  }
-}
-
-}  // namespace
-
 linalg::Matrix RocketTransform::Transform(const nn::Tensor& data) const {
   TSAUG_CHECK(fitted());
   TSAUG_CHECK(data.ndim() == 3);
   TSAUG_TRACE_SCOPE("transform.rocket");
   const int n = data.dim(0);
   core::trace::AddCount("transform.rocket.rows", n);
+  const int channels = data.dim(1);
   const int time = data.dim(2);
+  int max_padding = 0;
+  for (const RocketKernel& kernel : kernels_) {
+    max_padding = std::max(max_padding, kernel.padding);
+  }
+  const size_t padded_length = static_cast<size_t>(time + 2 * max_padding);
 
   linalg::Matrix features(n, 2 * num_kernels_);
   // Each sample fills its own feature row, so sample-parallelism is
   // bitwise deterministic at any thread count.
   const auto& kt = core::kernels::Active();
   core::ParallelFor(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
-    // Per-chunk scratch for the kernel's channel base pointers.
+    // Per-chunk scratch: each row's channels with max_padding zeros on
+    // both sides, so every position, padded or not, runs the backend
+    // kernel. A padded tap adds w * 0.0 = +-0 to the activation. That sum
+    // starts at the bias, a Uniform(-1, 1) draw that is never -0, and a
+    // round-to-nearest sum that is not -0 never becomes -0, so adding +-0
+    // keeps its bits: exactly as if the tap were skipped.
+    std::vector<double> padded(static_cast<size_t>(channels) * padded_length,
+                               0.0);
     std::vector<const double*> chan_ptrs;
     // cancellation: a global stop abandons remaining chunks at ParallelFor
     // boundaries; per-cell deadlines poll at rocket.fit / rocket.ridge.
     for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
+      for (int c = 0; c < channels; ++c) {
+        const double* row = data.row3(i, c);
+        std::copy(row, row + time,
+                  padded.data() + static_cast<size_t>(c) * padded_length +
+                      max_padding);
+      }
       for (int k = 0; k < num_kernels_; ++k) {
         const RocketKernel& kernel = kernels_[static_cast<size_t>(k)];
         const int span = (kernel.length - 1) * kernel.dilation;
@@ -130,32 +120,22 @@ linalg::Matrix RocketTransform::Transform(const nn::Tensor& data) const {
           features(i, 2 * k + 1) = 0.0;
           continue;
         }
+        chan_ptrs.resize(kernel.channels.size());
+        for (size_t c = 0; c < kernel.channels.size(); ++c) {
+          TSAUG_DCHECK(kernel.channels[c] < channels);
+          chan_ptrs[c] = padded.data() +
+                         static_cast<size_t>(kernel.channels[c]) *
+                             padded_length +
+                         max_padding;
+        }
         std::int64_t positive = 0;
         double max_activation = -std::numeric_limits<double>::infinity();
-        // Split the position range so the steady-state (interior) kernel
-        // has no per-tap bounds check: positions in [0, time - span) read
-        // taps pos .. pos + span, all inside [0, time). The interior span
-        // dispatches to the backend kernel; the padded boundary positions
-        // stay on the checked scalar path.
-        const int pos_lo = -kernel.padding;
-        const int pos_hi = time + kernel.padding - span;
-        const int interior_lo = std::clamp(0, pos_lo, pos_hi);
-        const int interior_hi = std::clamp(time - span, interior_lo, pos_hi);
-        AccumulatePositions<true>(data, i, time, kernel, pos_lo, interior_lo,
-                                  positive, max_activation);
-        if (interior_lo < interior_hi) {
-          chan_ptrs.resize(kernel.channels.size());
-          for (size_t c = 0; c < kernel.channels.size(); ++c) {
-            chan_ptrs[c] = data.row3(i, kernel.channels[c]);
-          }
-          kt.rocket_ppv_max(chan_ptrs.data(),
-                            static_cast<std::int64_t>(chan_ptrs.size()),
-                            kernel.weights.data(), kernel.length,
-                            kernel.dilation, kernel.bias, interior_lo,
-                            interior_hi, &positive, &max_activation);
-        }
-        AccumulatePositions<true>(data, i, time, kernel, interior_hi, pos_hi,
-                                  positive, max_activation);
+        kt.rocket_ppv_max(chan_ptrs.data(),
+                          static_cast<std::int64_t>(chan_ptrs.size()),
+                          kernel.weights.data(), kernel.length,
+                          kernel.dilation, kernel.bias, -kernel.padding,
+                          time + kernel.padding - span, &positive,
+                          &max_activation);
         features(i, 2 * k) = static_cast<double>(positive) / out_len;  // PPV
         features(i, 2 * k + 1) = max_activation;
       }

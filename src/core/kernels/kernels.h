@@ -9,11 +9,12 @@ namespace tsaug::core::kernels {
 ///
 /// This is the op/OpImpl seam (in the cavs style): each hot-loop
 /// *definition* lives at its call site (ROCKET transform, the MatMul
-/// family, Conv1dSame, the distance kernels, the autograd elementwise
-/// chains) and names one entry below; the *implementations* live in
-/// kernels_scalar.cc (portable reference) and kernels_simd.cc (AVX2),
-/// selected once per process via `TSAUG_BACKEND=scalar|simd` or CPU
-/// auto-detection (default: the fastest available).
+/// family, the Jacobi eigensolver, Conv1dSame, the distance kernels, the
+/// autograd elementwise chains) and names one entry below; the
+/// *implementations* live in kernels_scalar.cc (portable reference) and
+/// kernels_simd.cc (AVX2), selected once per process via
+/// `TSAUG_BACKEND=scalar|simd` or CPU auto-detection (default: the
+/// fastest available).
 ///
 /// Determinism contract: the scalar table is the bitwise reference, and
 /// every SIMD entry must produce bitwise-identical results. The seam
@@ -50,8 +51,16 @@ struct KernelTable {
   /// y[0..n) += a * x[0..n). Per-element, no reduction.
   void (*axpy)(double a, const double* x, double* y, std::int64_t n);
 
-  /// ROCKET interior convolution + PPV/max feature accumulation over
-  /// positions [pos_lo, pos_hi), all taps in bounds. Per position:
+  /// Plane rotation of two rows: for i in [0, n), with x = x[i] and
+  /// y = y[i], x[i] = c*x - s*y and y[i] = s*x + c*y (the Jacobi
+  /// eigensolver's row and eigenvector updates). Per-element, no
+  /// reduction.
+  void (*rotate_rows)(double c, double s, double* x, double* y,
+                      std::int64_t n);
+
+  /// ROCKET convolution + PPV/max feature accumulation over positions
+  /// [pos_lo, pos_hi); every tap channels[c][pos + tap*dilation] must be
+  /// readable (the caller zero-pads the series). Per position:
   ///   act = bias; for c: for tap: act += w[c*length+tap] *
   ///                                       channels[c][pos+tap*dilation]
   /// then ++*positive when act > 0, and *max_activation folds act in.

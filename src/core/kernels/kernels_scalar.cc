@@ -64,6 +64,15 @@ void Axpy(double a, const double* x, double* y, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
+void RotateRows(double c, double s, double* x, double* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
+}
+
 // --- ROCKET convolution + PPV/max -------------------------------------------
 
 void RocketPpvMax(const double* const* channels, std::int64_t num_channels,
@@ -189,12 +198,12 @@ void EwAdd3Sigmoid(const double* a, const double* b, const double* bias,
 }
 
 constexpr KernelTable kScalarTable = {
-    RowPanelMatMul, DotPanel,        Axpy,          RocketPpvMax,
-    SquaredDistRow, SquaredDiffSum,  EwScale,       EwAddConst,
-    EwOneMinus,     EwRelu,          EwMul,         EwMulAcc,
-    EwAddAcc,       EwSubAcc,        EwScaleAcc,    EwReluBwdAcc,
-    EwTanhBwdAcc,   EwSigmoidBwdAcc, EwTanhBwd,     EwSigmoidBwd,
-    EwAdd3Tanh,     EwAdd3Sigmoid,
+    RowPanelMatMul, DotPanel,        Axpy,          RotateRows,
+    RocketPpvMax,   SquaredDistRow,  SquaredDiffSum, EwScale,
+    EwAddConst,     EwOneMinus,      EwRelu,        EwMul,
+    EwMulAcc,       EwAddAcc,        EwSubAcc,      EwScaleAcc,
+    EwReluBwdAcc,   EwTanhBwdAcc,    EwSigmoidBwdAcc, EwTanhBwd,
+    EwSigmoidBwd,   EwAdd3Tanh,      EwAdd3Sigmoid,
 };
 
 }  // namespace

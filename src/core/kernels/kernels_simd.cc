@@ -223,6 +223,26 @@ void Axpy(double a, const double* x, double* y, std::int64_t n) {
   Axpy1Row(a, x, y, n);
 }
 
+void RotateRows(double c, double s, double* x, double* y, std::int64_t n) {
+  const __m256d cv = _mm256_set1_pd(c);
+  const __m256d sv = _mm256_set1_pd(s);
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xv = _mm256_loadu_pd(x + i);
+    const __m256d yv = _mm256_loadu_pd(y + i);
+    _mm256_storeu_pd(x + i, _mm256_sub_pd(_mm256_mul_pd(cv, xv),
+                                          _mm256_mul_pd(sv, yv)));
+    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_mul_pd(sv, xv),
+                                          _mm256_mul_pd(cv, yv)));
+  }
+  for (; i < n; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
+}
+
 // --- ROCKET convolution + PPV/max -------------------------------------------
 
 void RocketPpvMax(const double* const* channels, std::int64_t num_channels,
@@ -421,12 +441,12 @@ void EwAdd3Sigmoid(const double* a, const double* b, const double* bias,
 }
 
 constexpr KernelTable kSimdTable = {
-    RowPanelMatMul, DotPanel,        Axpy,          RocketPpvMax,
-    SquaredDistRow, SquaredDiffSum,  EwScale,       EwAddConst,
-    EwOneMinus,     EwRelu,          EwMul,         EwMulAcc,
-    EwAddAcc,       EwSubAcc,        EwScaleAcc,    EwReluBwdAcc,
-    EwTanhBwdAcc,   EwSigmoidBwdAcc, EwTanhBwd,     EwSigmoidBwd,
-    EwAdd3Tanh,     EwAdd3Sigmoid,
+    RowPanelMatMul, DotPanel,        Axpy,          RotateRows,
+    RocketPpvMax,   SquaredDistRow,  SquaredDiffSum, EwScale,
+    EwAddConst,     EwOneMinus,      EwRelu,        EwMul,
+    EwMulAcc,       EwAddAcc,        EwSubAcc,      EwScaleAcc,
+    EwReluBwdAcc,   EwTanhBwdAcc,    EwSigmoidBwdAcc, EwTanhBwd,
+    EwSigmoidBwd,   EwAdd3Tanh,      EwAdd3Sigmoid,
 };
 
 }  // namespace

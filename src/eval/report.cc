@@ -1,5 +1,6 @@
 #include "eval/report.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -331,17 +332,30 @@ std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
   return selected;
 }
 
+core::Status CheckDatasetNames(const std::vector<std::string>& names,
+                               const std::vector<std::string>& known,
+                               const std::string& suite) {
+  for (const std::string& name : names) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return core::InvalidArgumentError("unknown " + suite + " dataset '" +
+                                        name + "'");
+    }
+  }
+  return core::OkStatus();
+}
+
 core::StatusOr<StudyResult> RunStudy(const BenchSettings& settings,
                                      ModelKind model) {
   const ExperimentConfig config = MakeExperimentConfig(settings, model);
   const auto techniques = MakePaperTechniques(settings);
 
-  std::vector<std::string> names = settings.datasets;
-  if (names.empty()) {
-    for (const data::UeaDatasetInfo& info : data::UeaImbalancedCatalog()) {
-      names.push_back(info.name);
-    }
+  std::vector<std::string> known;
+  for (const data::UeaDatasetInfo& info : data::UeaImbalancedCatalog()) {
+    known.push_back(info.name);
   }
+  const std::vector<std::string> names =
+      settings.datasets.empty() ? known : settings.datasets;
+  TSAUG_RETURN_IF_ERROR(CheckDatasetNames(names, known, "paper"));
   const std::string model_name = ModelKindName(model);
   const DatasetLoader loader = [&](const std::string& name) {
     std::fprintf(stderr, "[%s] running %s...\n", model_name.c_str(),

@@ -71,14 +71,23 @@ ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,
 std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
     const BenchSettings& settings);
 
+/// kInvalidArgument naming the first of `names` that is not in `known`,
+/// the dataset names of `suite` ("paper", "stress"); OK when all are.
+/// Grids check their dataset list with it before the first dataset runs.
+[[nodiscard]] core::Status CheckDatasetNames(
+    const std::vector<std::string>& names,
+    const std::vector<std::string>& known, const std::string& suite);
+
 /// Runs the full study grid (all selected datasets) for one model: the
 /// settings' config, techniques and UEA-like loader handed to
 /// RunShardedStudy (eval/shard.h), unsharded. With settings.journal_path
 /// set, one journal is shared across all datasets, so an interrupted study
 /// resumes from wherever it was killed. A stop request (core/cancel.h)
 /// ends the study after flushing the current dataset's completed cells;
-/// the partial result is marked interrupted. Returns the Status of a
-/// journal that cannot be opened (e.g. a fingerprint mismatch).
+/// the partial result is marked interrupted. Returns kInvalidArgument for
+/// a dataset name outside the paper's catalog (before any dataset runs)
+/// and the Status of a journal that cannot be opened (e.g. a fingerprint
+/// mismatch).
 [[nodiscard]] core::StatusOr<StudyResult> RunStudy(
     const BenchSettings& settings, ModelKind model);
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/kernels/kernels.h"
+
 namespace tsaug::linalg {
 
 bool CholeskyFactor(Matrix& a) {
@@ -70,7 +72,14 @@ void SymmetricEigen(const Matrix& a, std::vector<double>* eigenvalues,
   TSAUG_CHECK(a.rows() == a.cols());
   const int n = a.rows();
   Matrix d = a;
-  Matrix v = Matrix::Identity(n);
+  // V^T: rotating eigenvector columns p and q rotates two contiguous rows.
+  Matrix vt = Matrix::Identity(n);
+  // Column p of d, kept contiguous for the whole p loop and written back
+  // when it ends; meanwhile d(k, p) lives in colp[k], d's own column p is
+  // stale, and nothing reads it. The arithmetic, and its order, is the
+  // textbook cyclic Jacobi's: only where the values live changes.
+  std::vector<double> colp(static_cast<size_t>(n));
+  const auto& kt = core::kernels::Active();
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0.0;
@@ -80,10 +89,12 @@ void SymmetricEigen(const Matrix& a, std::vector<double>* eigenvalues,
     if (off < 1e-22 * n * n) break;
 
     for (int p = 0; p < n - 1; ++p) {
+      for (int k = 0; k < n; ++k) colp[static_cast<size_t>(k)] = d(k, p);
+      double* row_p = d.row_data(p);
       for (int q = p + 1; q < n; ++q) {
         const double apq = d(p, q);
         if (std::fabs(apq) < 1e-300) continue;
-        const double app = d(p, p);
+        const double app = colp[static_cast<size_t>(p)];
         const double aqq = d(q, q);
         const double theta = (aqq - app) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
@@ -91,25 +102,24 @@ void SymmetricEigen(const Matrix& a, std::vector<double>* eigenvalues,
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
 
+        // Columns p and q; only column q is strided.
         for (int k = 0; k < n; ++k) {
-          const double dkp = d(k, p);
+          const double dkp = colp[static_cast<size_t>(k)];
           const double dkq = d(k, q);
-          d(k, p) = c * dkp - s * dkq;
+          colp[static_cast<size_t>(k)] = c * dkp - s * dkq;
           d(k, q) = s * dkp + c * dkq;
         }
-        for (int k = 0; k < n; ++k) {
-          const double dpk = d(p, k);
-          const double dqk = d(q, k);
-          d(p, k) = c * dpk - s * dqk;
-          d(q, k) = s * dpk + c * dqk;
-        }
-        for (int k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
+        // Rows p and q: d(p, p) and d(q, p) are in colp, the rest in d.
+        double* row_q = d.row_data(q);
+        kt.rotate_rows(c, s, row_p, row_q, p);
+        kt.rotate_rows(c, s, row_p + p + 1, row_q + p + 1, n - p - 1);
+        const double dpp = colp[static_cast<size_t>(p)];
+        const double dqp = colp[static_cast<size_t>(q)];
+        colp[static_cast<size_t>(p)] = c * dpp - s * dqp;
+        colp[static_cast<size_t>(q)] = s * dpp + c * dqp;
+        kt.rotate_rows(c, s, vt.row_data(p), vt.row_data(q), n);
       }
+      for (int k = 0; k < n; ++k) d(k, p) = colp[static_cast<size_t>(k)];
     }
   }
 
@@ -122,8 +132,10 @@ void SymmetricEigen(const Matrix& a, std::vector<double>* eigenvalues,
   eigenvalues->resize(static_cast<size_t>(n));
   *eigenvectors = Matrix(n, n);
   for (int j = 0; j < n; ++j) {
-    (*eigenvalues)[static_cast<size_t>(j)] = d(order[static_cast<size_t>(j)], order[static_cast<size_t>(j)]);
-    for (int i = 0; i < n; ++i) (*eigenvectors)(i, j) = v(i, order[static_cast<size_t>(j)]);
+    const int src = order[static_cast<size_t>(j)];
+    (*eigenvalues)[static_cast<size_t>(j)] = d(src, src);
+    const double* v = vt.row_data(src);
+    for (int i = 0; i < n; ++i) (*eigenvectors)(i, j) = v[i];
   }
 }
 

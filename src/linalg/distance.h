@@ -24,9 +24,12 @@ double EuclideanDistance(const core::TimeSeries& a, const core::TimeSeries& b);
 /// Dependent multivariate Dynamic Time Warping distance: the local cost of
 /// aligning step i of `a` with step j of `b` is the squared Euclidean
 /// distance across all channels. `window` is a Sakoe-Chiba band half-width
-/// (< 0 means unconstrained). Returns the square root of the accumulated
-/// cost, so DTW with a degenerate diagonal path equals the Euclidean
-/// distance between equal-length series.
+/// (< 0 means unconstrained): step i of `a` may align with step j of `b`
+/// only when |i - j| <= max(window, |a.length() - b.length()|), the
+/// widening that keeps a full path possible for unequal lengths. Returns
+/// the square root of the accumulated cost, so DTW with a degenerate
+/// diagonal path equals the Euclidean distance between equal-length
+/// series.
 /// NaN-safe: channels missing at either aligned step contribute zero to
 /// that step's local cost (series with missing data fall back to a
 /// deterministic scalar band row; NaN-free series keep the backend

@@ -4,6 +4,7 @@
 // passes vacuously) on hosts without AVX2 — CI runs at least one leg on
 // hardware where it executes.
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -124,6 +125,34 @@ TEST(BackendParity, RocketTransform) {
     Append(out, transform.Transform(data));
     return out;
   });
+}
+
+TEST(BackendParity, RotateRows) {
+  SKIP_WITHOUT_SIMD();
+  const kernels::KernelTable& scalar = kernels::ScalarKernels();
+  const kernels::KernelTable& simd = *kernels::SimdKernels();
+  core::Rng rng(18);
+  const double c = std::cos(0.7);
+  const double s = std::sin(0.7);
+  for (int n = 0; n <= 17; ++n) {
+    // Row starts 0..3 doubles into the buffers: every alignment of a
+    // 4-lane vector against the 64-byte-aligned storage, x and y offset
+    // independently.
+    for (int x_offset = 0; x_offset < 4; ++x_offset) {
+      const int y_offset = (x_offset + 1) % 4;
+      std::vector<double> x(static_cast<size_t>(n + 4));
+      std::vector<double> y(static_cast<size_t>(n + 4));
+      for (double& v : x) v = rng.Normal();
+      for (double& v : y) v = rng.Normal();
+      std::vector<double> xs = x, ys = y, xv = x, yv = y;
+      scalar.rotate_rows(c, s, xs.data() + x_offset, ys.data() + y_offset, n);
+      simd.rotate_rows(c, s, xv.data() + x_offset, yv.data() + y_offset, n);
+      EXPECT_EQ(0, std::memcmp(xs.data(), xv.data(), x.size() * sizeof(double)))
+          << "n=" << n << " x_offset=" << x_offset;
+      EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), y.size() * sizeof(double)))
+          << "n=" << n << " y_offset=" << y_offset;
+    }
+  }
 }
 
 TEST(BackendParity, NnMatMulForwardBackward) {

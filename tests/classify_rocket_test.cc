@@ -1,9 +1,17 @@
 #include "classify/rocket.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/kernels/kernels.h"
+#include "core/parallel.h"
+#include "core/rng.h"
 #include "data/synthetic.h"
 
 namespace tsaug::classify {
@@ -77,6 +85,119 @@ TEST(RocketTransform, ShortSeriesStillWork) {
   for (double& v : x.data()) v = rng.Normal();
   const linalg::Matrix features = transform.Transform(x);
   for (double v : features.data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+/// PPV/max over positions [pos_lo, pos_hi) as the transform computed them
+/// before it zero-padded its rows: a scalar loop that, when `Checked`,
+/// skips taps outside [0, time) instead of reading padding.
+template <bool Checked>
+void ReferencePositions(const nn::Tensor& data, int i, int time,
+                        const RocketKernel& kernel, int pos_lo, int pos_hi,
+                        std::int64_t& positive, double& max_activation) {
+  for (int pos = pos_lo; pos < pos_hi; ++pos) {
+    double activation = kernel.bias;
+    for (size_t c = 0; c < kernel.channels.size(); ++c) {
+      const int channel = kernel.channels[c];
+      const double* w =
+          kernel.weights.data() + c * static_cast<size_t>(kernel.length);
+      for (int tap = 0; tap < kernel.length; ++tap) {
+        const int t = pos + tap * kernel.dilation;
+        if constexpr (Checked) {
+          if (t < 0 || t >= time) continue;
+        }
+        activation += w[tap] * data.at(i, channel, t);
+      }
+    }
+    if (activation > 0.0) ++positive;
+    max_activation = std::max(max_activation, activation);
+  }
+}
+
+/// The transform's reference semantics: checked boundary positions around
+/// an unchecked interior, all scalar.
+linalg::Matrix ReferenceTransform(const RocketTransform& transform,
+                                  const nn::Tensor& data) {
+  const int n = data.dim(0);
+  const int time = data.dim(2);
+  const int num_kernels = transform.num_kernels();
+  linalg::Matrix features(n, 2 * num_kernels);
+  for (int i = 0; i < n; ++i) {
+    for (int k = 0; k < num_kernels; ++k) {
+      const RocketKernel& kernel =
+          transform.kernels()[static_cast<size_t>(k)];
+      const int span = (kernel.length - 1) * kernel.dilation;
+      const int out_len = time + 2 * kernel.padding - span;
+      if (out_len <= 0) continue;  // both features stay 0
+      const int pos_lo = -kernel.padding;
+      const int pos_hi = time + kernel.padding - span;
+      const int interior_lo = std::clamp(0, pos_lo, pos_hi);
+      const int interior_hi = std::clamp(time - span, interior_lo, pos_hi);
+      std::int64_t positive = 0;
+      double max_activation = -std::numeric_limits<double>::infinity();
+      ReferencePositions<true>(data, i, time, kernel, pos_lo, interior_lo,
+                               positive, max_activation);
+      ReferencePositions<false>(data, i, time, kernel, interior_lo,
+                                interior_hi, positive, max_activation);
+      ReferencePositions<true>(data, i, time, kernel, interior_hi, pos_hi,
+                               positive, max_activation);
+      features(i, 2 * k) = static_cast<double>(positive) / out_len;
+      features(i, 2 * k + 1) = max_activation;
+    }
+  }
+  return features;
+}
+
+TEST(RocketTransform, MatchesCheckedReferenceBitForBit) {
+  const core::kernels::Backend saved_backend = core::kernels::ActiveBackend();
+  const int saved_threads = core::GetNumThreads();
+  std::vector<core::kernels::Backend> backends = {
+      core::kernels::Backend::kScalar};
+  if (core::kernels::SimdAvailable()) {
+    backends.push_back(core::kernels::Backend::kSimd);
+  }
+  int padded = 0;
+  int unpadded = 0;
+  int empty_outputs = 0;
+  for (int channels : {1, 4}) {
+    // Kernels drawn for length 40 overhang the shorter series below
+    // (out_len <= 0); kernels drawn for the series' own length do not.
+    for (int fit_length : {0, 40}) {
+      for (int time = 2; time <= 40; ++time) {
+        const int length = fit_length > 0 ? fit_length : time;
+        RocketTransform transform(/*num_kernels=*/24,
+                                  /*seed=*/static_cast<std::uint64_t>(time));
+        transform.Fit(channels, length);
+        nn::Tensor x({5, channels, time});
+        core::Rng rng(static_cast<std::uint64_t>(1000 + time));
+        for (double& v : x.data()) v = rng.Normal();
+        for (const RocketKernel& kernel : transform.kernels()) {
+          (kernel.padding > 0 ? padded : unpadded) += 1;
+          const int span = (kernel.length - 1) * kernel.dilation;
+          if (time + 2 * kernel.padding - span <= 0) ++empty_outputs;
+        }
+        const linalg::Matrix want = ReferenceTransform(transform, x);
+        for (core::kernels::Backend backend : backends) {
+          for (int threads : {1, 2, 8}) {
+            core::kernels::SetBackend(backend);
+            core::SetNumThreads(threads);
+            const linalg::Matrix got = transform.Transform(x);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(0, std::memcmp(got.data().data(), want.data().data(),
+                                     got.size() * sizeof(double)))
+                << "channels=" << channels << " fit_length=" << length
+                << " time=" << time << " backend="
+                << core::kernels::BackendName(backend)
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+  core::kernels::SetBackend(saved_backend);
+  core::SetNumThreads(saved_threads);
+  EXPECT_GT(padded, 0);
+  EXPECT_GT(unpadded, 0);
+  EXPECT_GT(empty_outputs, 0);
 }
 
 TEST(RocketClassifier, LearnsSeparableClasses) {

@@ -434,5 +434,30 @@ TEST(RunStudy, MismatchedJournalFingerprintFailsTyped) {
             std::string::npos);
 }
 
+TEST(RunStudy, UnknownDatasetFailsTypedBeforeAnyDatasetRuns) {
+  BenchSettings settings;
+  settings.runs = 1;
+  settings.rocket_kernels = 50;
+  // The valid name comes first: the whole list is checked before any
+  // dataset runs, so no work is done for it either.
+  settings.datasets = {"Epilepsy", "Bogus"};
+  settings.techniques = {"noise_1.0"};
+  const core::StatusOr<StudyResult> study =
+      RunStudy(settings, ModelKind::kRocket);
+  ASSERT_FALSE(study.ok());
+  EXPECT_EQ(study.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(study.status().context().find("'Bogus'"), std::string::npos);
+}
+
+TEST(CheckDatasetNames, AcceptsKnownAndNamesTheFirstUnknown) {
+  const std::vector<std::string> known = {"A", "B"};
+  EXPECT_TRUE(CheckDatasetNames({}, known, "paper").ok());
+  EXPECT_TRUE(CheckDatasetNames({"B", "A"}, known, "paper").ok());
+  const core::Status status = CheckDatasetNames({"A", "x", "y"}, known,
+                                                "stress");
+  EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.context(), "unknown stress dataset 'x'");
+}
+
 }  // namespace
 }  // namespace tsaug::eval

@@ -1,10 +1,16 @@
 #include "linalg/distance.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/kernels/kernels.h"
+#include "core/rng.h"
 #include "linalg/knn.h"
 
 namespace tsaug::linalg {
@@ -138,6 +144,69 @@ TEST(DtwDistance, BandConstraintIncreasesCost) {
   TimeSeries a = TimeSeries::FromValues(base);
   TimeSeries b = TimeSeries::FromValues(shifted);
   EXPECT_LE(DtwDistance(a, b, /*window=*/-1), DtwDistance(a, b, /*window=*/1));
+}
+
+/// DtwDistance by its definition in distance.h: the full (n+1) x (m+1)
+/// accumulated-cost DP, cells outside the band left at +inf, local cost
+/// summed over channels in ascending order.
+double NaiveDtw(const TimeSeries& a, const TimeSeries& b, int window) {
+  const int n = a.length();
+  const int m = b.length();
+  const int band = std::max(window, std::abs(n - m));
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> cost(
+      static_cast<size_t>(n + 1),
+      std::vector<double>(static_cast<size_t>(m + 1), inf));
+  cost[0][0] = 0.0;
+  for (int i = 1; i <= n; ++i) {
+    for (int j = 1; j <= m; ++j) {
+      if (window >= 0 && std::abs(i - j) > band) continue;
+      double local = 0.0;
+      for (int c = 0; c < a.num_channels(); ++c) {
+        const double d = a.at(c, i - 1) - b.at(c, j - 1);
+        local += d * d;
+      }
+      const auto ui = static_cast<size_t>(i);
+      const auto uj = static_cast<size_t>(j);
+      cost[ui][uj] = local + std::min({cost[ui - 1][uj - 1], cost[ui - 1][uj],
+                                       cost[ui][uj - 1]});
+    }
+  }
+  return std::sqrt(cost[static_cast<size_t>(n)][static_cast<size_t>(m)]);
+}
+
+TEST(DtwDistance, MatchesNaiveBandedDpBitForBit) {
+  const core::kernels::Backend saved = core::kernels::ActiveBackend();
+  std::vector<core::kernels::Backend> backends = {
+      core::kernels::Backend::kScalar};
+  if (core::kernels::SimdAvailable()) {
+    backends.push_back(core::kernels::Backend::kSimd);
+  }
+  core::Rng rng(41);
+  for (int channels : {1, 3}) {
+    for (int n = 1; n <= 40; ++n) {
+      // Equal lengths plus a shorter and a longer partner.
+      for (int m : {n, std::max(1, n / 2), n + 3}) {
+        TimeSeries a(channels, n);
+        TimeSeries b(channels, m);
+        for (double& v : a.values()) v = rng.Normal();
+        for (double& v : b.values()) v = rng.Normal();
+        for (int window : {-1, 0, 1, 3, std::max(n, m) + 1}) {
+          const double want = NaiveDtw(a, b, window);
+          for (core::kernels::Backend backend : backends) {
+            core::kernels::SetBackend(backend);
+            const double got = DtwDistance(a, b, window);
+            EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(double)))
+                << "channels=" << channels << " n=" << n << " m=" << m
+                << " window=" << window << " backend="
+                << core::kernels::BackendName(backend) << ": " << got
+                << " vs " << want;
+          }
+        }
+      }
+    }
+  }
+  core::kernels::SetBackend(saved);
 }
 
 TEST(DtwPath, StartsAndEndsAtCorners) {

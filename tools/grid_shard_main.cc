@@ -42,7 +42,6 @@
 // Exit codes: 0 = run completed (shards that exhausted retries surface as
 // failed cells in the report, they do not sink the run); 1 = supervisor/
 // infrastructure error; 2 = usage or worker error; 3 = interrupted.
-#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -252,13 +251,12 @@ int main(int argc, char** argv) {
   const auto techniques = tsaug::eval::MakePaperTechniques(settings);
   std::vector<std::string> names = settings.datasets;
   if (names.empty()) names = suite_names;
-  for (const std::string& name : names) {
-    if (std::find(suite_names.begin(), suite_names.end(), name) ==
-        suite_names.end()) {
-      std::fprintf(stderr, "grid_shard_main: unknown %s dataset '%s'\n",
-                   suite.c_str(), name.c_str());
-      return 2;
-    }
+  const tsaug::core::Status names_ok =
+      tsaug::eval::CheckDatasetNames(names, suite_names, suite);
+  if (!names_ok.ok()) {
+    std::fprintf(stderr, "grid_shard_main: %s\n",
+                 names_ok.ToString().c_str());
+    return 2;
   }
   const tsaug::eval::DatasetLoader loader =
       [&settings, stress](const std::string& name) -> tsaug::data::TrainTest {
