@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_settings.h"
 #include "classify/boss.h"
 #include "classify/inception_time.h"
 #include "classify/random_forest.h"
@@ -15,7 +16,6 @@
 #include "classify/resnet.h"
 #include "classify/rocket.h"
 #include "eval/metrics.h"
-#include "eval/report.h"
 
 namespace {
 
@@ -49,7 +49,7 @@ std::vector<std::unique_ptr<tsaug::classify::Classifier>> MakeClassifiers(
 }  // namespace
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  tsaug::eval::BenchSettings settings = tsaug::bench::ReadSettingsOrExit();
   if (settings.datasets.empty()) {
     settings.datasets = {"RacketSports", "LSST", "EthanolConcentration",
                          "Heartbeat"};

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <cstdio>
 
+#include "bench_settings.h"
 #include "classify/rocket.h"
-#include "eval/report.h"
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  tsaug::eval::BenchSettings settings = tsaug::bench::ReadSettingsOrExit();
   if (settings.datasets.empty()) {
     settings.datasets = {"RacketSports", "EthanolConcentration"};
   }

@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_settings.h"
 #include "augment/noise.h"
 #include "augment/oversample.h"
 #include "augment/preserving.h"
-#include "eval/report.h"
 
 namespace {
 
@@ -39,7 +39,7 @@ double ScoreWith(const tsaug::eval::ExperimentConfig& config,
 }  // namespace
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  tsaug::eval::BenchSettings settings = tsaug::bench::ReadSettingsOrExit();
   if (settings.datasets.empty()) {
     settings.datasets = {"LSST", "EthanolConcentration", "Heartbeat",
                          "RacketSports", "FingerMovements"};

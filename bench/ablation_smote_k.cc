@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_settings.h"
 #include "augment/oversample.h"
-#include "eval/report.h"
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  tsaug::eval::BenchSettings settings = tsaug::bench::ReadSettingsOrExit();
   if (settings.datasets.empty()) {
     settings.datasets = {"LSST", "RacketSports"};
   }

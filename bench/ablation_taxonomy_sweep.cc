@@ -6,15 +6,15 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_settings.h"
 #include "augment/basic_time.h"
 #include "augment/noise.h"
 #include "augment/oversample.h"
 #include "augment/pipeline.h"
 #include "augment/preserving.h"
-#include "eval/report.h"
 
 int main() {
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  tsaug::eval::BenchSettings settings = tsaug::bench::ReadSettingsOrExit();
   if (settings.datasets.empty()) {
     settings.datasets = {"RacketSports", "LSST", "Heartbeat"};
   }

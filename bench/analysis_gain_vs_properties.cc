@@ -9,12 +9,13 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_settings.h"
 #include "core/stats.h"
 #include "eval/metrics.h"
-#include "eval/report.h"
 
 int main() {
-  const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  const tsaug::eval::BenchSettings settings =
+      tsaug::bench::ReadSettingsOrExit();
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> result =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);
   if (!result.ok()) {

@@ -11,13 +11,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "classify/rocket.h"
+#include "core/io.h"
+#include "core/json.h"
 #include "core/kernels/kernels.h"
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -186,27 +187,20 @@ std::vector<Workload> BuildWorkloads() {
   return workloads;
 }
 
-void WriteJson(const char* path, const std::vector<Entry>& entries) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_kernels: cannot open %s for writing\n", path);
-    std::exit(1);
+std::string EntriesJson(const std::vector<Entry>& entries) {
+  tsaug::core::JsonWriter w({/*spaced=*/true, /*break_depth=*/2});
+  w.BeginObject().Key("schema").Int(1);
+  w.Key("simd_available").Bool(kernels::SimdAvailable());
+  w.Key("benchmarks").BeginArray();
+  for (const Entry& e : entries) {
+    w.BeginObject().Key("name").String(e.name);
+    w.Key("backend").String(e.backend).Key("threads").Int(e.threads);
+    w.Key("ns_per_op").Double(e.ns_per_op, 1);
+    w.Key("bytes_per_op").Double(e.bytes_per_op, 0);
+    w.Key("iterations").Int(e.iterations).EndObject();
   }
-  std::fprintf(f, "{\n  \"schema\": 1,\n  \"simd_available\": %s,\n",
-               kernels::SimdAvailable() ? "true" : "false");
-  std::fprintf(f, "  \"benchmarks\": [\n");
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"backend\": \"%s\", \"threads\": "
-                 "%d, \"ns_per_op\": %.1f, \"bytes_per_op\": %.0f, "
-                 "\"iterations\": %lld}%s\n",
-                 e.name.c_str(), e.backend.c_str(), e.threads, e.ns_per_op,
-                 e.bytes_per_op, static_cast<long long>(e.iterations),
-                 i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.EndArray().EndObject();
+  return w.str() + "\n";
 }
 
 }  // namespace
@@ -243,7 +237,12 @@ int main(int argc, char** argv) {
   }
   tsaug::core::SetNumThreads(1);
 
-  WriteJson(out_path, entries);
+  const tsaug::core::Status written =
+      tsaug::core::WriteFile(out_path, EntriesJson(entries));
+  if (!written.ok()) {
+    std::fprintf(stderr, "bench_kernels: %s\n", written.ToString().c_str());
+    return 1;
+  }
   std::printf("wrote %s (%zu entries)\n", out_path, entries.size());
   return 0;
 }

@@ -11,6 +11,7 @@
 
 #include "augment/augmenter.h"
 #include "core/dataset.h"
+#include "core/io.h"
 #include "core/rng.h"
 #include "core/trace.h"
 #include "linalg/distance.h"
@@ -33,12 +34,7 @@ inline std::string EnableTraceFromArgs(int argc, char** argv) {
 /// Writes the merged JSON trace report to `path` (no-op on an empty path,
 /// i.e. when --trace-json was not given). Returns false on I/O failure.
 inline bool WriteTraceJson(const std::string& path) {
-  if (path.empty()) return true;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = core::trace::ReportJson();
-  const bool wrote = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && wrote;
+  return path.empty() || core::WriteFile(path, core::trace::ReportJson()).ok();
 }
 
 /// A 2-D point encoded as one channel with two steps: this keeps Eq. (6)'s

@@ -10,66 +10,44 @@
 //
 // Flags: --json PATH (default BENCH_serve.json), --connections N (32),
 // --requests N per connection (25), --max-batch N (16), --linger-ms X (2).
+// An unknown flag, a missing value or a malformed number exits 2.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "core/flags.h"
+#include "core/io.h"
+#include "core/json.h"
 #include "core/status.h"
 #include "core/trace.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
 
-namespace {
-
-using tsaug::core::trace::CounterValue;
-
-std::string OccupancyHistogramJson(int max_batch) {
-  std::string json = "{";
-  bool first = true;
-  for (int n = 1; n <= max_batch; ++n) {
-    const std::int64_t cuts =
-        CounterValue("serve.batch_size." + std::to_string(n));
-    if (cuts == 0) continue;
-    if (!first) json += ", ";
-    first = false;
-    // Sequential appends: GCC 12 -O2 fires a bogus -Wrestrict on the
-    // char*-plus-rvalue-string overload, fatal under the strict CI leg.
-    json += "\"";
-    json += std::to_string(n);
-    json += "\": ";
-    json += std::to_string(cuts);
-  }
-  return json + "}";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using tsaug::core::IntFlag;
+  using tsaug::core::trace::CounterValue;
   std::string json_path = "BENCH_serve.json";
   tsaug::serve::ServerConfig server_config;
   server_config.service = tsaug::serve::DefaultServiceConfig();
   tsaug::serve::LoadConfig load_config;
   load_config.connections = 32;
   load_config.requests_per_connection = 25;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--json") {
-      json_path = value;
-    } else if (flag == "--connections") {
-      load_config.connections = std::atoi(value.c_str());
-    } else if (flag == "--requests") {
-      load_config.requests_per_connection = std::atoi(value.c_str());
-    } else if (flag == "--max-batch") {
-      server_config.batching.max_batch = std::atoi(value.c_str());
-    } else if (flag == "--linger-ms") {
-      server_config.batching.max_linger_nanos =
-          static_cast<std::int64_t>(std::atof(value.c_str()) * 1e6);
-    } else {
-      std::fprintf(stderr, "serve_latency: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
+  double linger_ms =
+      static_cast<double>(server_config.batching.max_linger_nanos) / 1e6;
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {tsaug::core::StringFlag("--json", &json_path),
+       IntFlag("--connections", 1, INT_MAX, &load_config.connections),
+       IntFlag("--requests", 1, INT_MAX,
+               &load_config.requests_per_connection),
+       IntFlag("--max-batch", 1, INT_MAX, &server_config.batching.max_batch),
+       tsaug::core::DoubleFlag("--linger-ms", 0.0, 1e6, &linger_ms)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "serve_latency: %s\n", parsed.ToString().c_str());
+    return 2;
   }
+  server_config.batching.max_linger_nanos =
+      static_cast<std::int64_t>(linger_ms * 1e6);
 
   tsaug::core::trace::Enable();  // the occupancy counters feed the report
   tsaug::serve::Server server(server_config);
@@ -103,42 +81,33 @@ int main(int argc, char** argv) {
           : static_cast<double>(total_ns) /
                 static_cast<double>(report.latencies_ns.size());
 
-  std::string json = "{\n";
-  json += "  \"serve_bench_version\": 1,\n";
-  json += "  \"config\": {\"connections\": " +
-          std::to_string(load_config.connections) +
-          ", \"requests_per_connection\": " +
-          std::to_string(load_config.requests_per_connection) +
-          ", \"max_batch\": " +
-          std::to_string(server_config.batching.max_batch) +
-          ", \"max_linger_nanos\": " +
-          std::to_string(server_config.batching.max_linger_nanos) + "},\n";
-  json += "  \"requests\": " + std::to_string(report.requests) + ",\n";
-  json += "  \"errors\": " + std::to_string(report.errors) + ",\n";
-  char latency[256];
-  std::snprintf(latency, sizeof(latency),
-                "  \"latency_ns\": {\"p50\": %lld, \"p95\": %lld, "
-                "\"p99\": %lld, \"mean\": %.1f},\n",
-                static_cast<long long>(report.PercentileNanos(0.50)),
-                static_cast<long long>(report.PercentileNanos(0.95)),
-                static_cast<long long>(report.PercentileNanos(0.99)),
-                mean_ns);
-  json += latency;
-  json += "  \"batches\": " + std::to_string(batches) + ",\n";
-  json += "  \"batched_requests\": " + std::to_string(batched) + ",\n";
-  char occ[64];
-  std::snprintf(occ, sizeof(occ), "  \"mean_occupancy\": %.3f,\n", occupancy);
-  json += occ;
-  json += "  \"occupancy_histogram\": " +
-          OccupancyHistogramJson(server_config.batching.max_batch) + "\n";
-  json += "}\n";
-
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), f) != json.size() ||
-      std::fclose(f) != 0) {
-    std::fprintf(stderr, "serve_latency: cannot write %s\n",
-                 json_path.c_str());
+  tsaug::core::JsonWriter w({/*spaced=*/true, /*break_depth=*/1});
+  w.BeginObject().Key("serve_bench_version").Int(1);
+  w.Key("config").BeginObject();
+  w.Key("connections").Int(load_config.connections);
+  w.Key("requests_per_connection").Int(load_config.requests_per_connection);
+  w.Key("max_batch").Int(server_config.batching.max_batch);
+  w.Key("max_linger_nanos").Int(server_config.batching.max_linger_nanos);
+  w.EndObject();
+  w.Key("requests").Int(report.requests).Key("errors").Int(report.errors);
+  w.Key("latency_ns").BeginObject();
+  w.Key("p50").Int(report.PercentileNanos(0.50));
+  w.Key("p95").Int(report.PercentileNanos(0.95));
+  w.Key("p99").Int(report.PercentileNanos(0.99));
+  w.Key("mean").Double(mean_ns, 1).EndObject();
+  w.Key("batches").Int(batches).Key("batched_requests").Int(batched);
+  w.Key("mean_occupancy").Double(occupancy, 3);
+  w.Key("occupancy_histogram").BeginObject();
+  for (int n = 1; n <= server_config.batching.max_batch; ++n) {
+    const std::int64_t cuts =
+        CounterValue("serve.batch_size." + std::to_string(n));
+    if (cuts != 0) w.Key(std::to_string(n)).Int(cuts);
+  }
+  w.EndObject().EndObject();
+  const tsaug::core::Status written =
+      tsaug::core::WriteFile(json_path, w.str() + "\n");
+  if (!written.ok()) {
+    std::fprintf(stderr, "serve_latency: %s\n", written.ToString().c_str());
     return 1;
   }
   std::printf("serve_latency: requests=%lld errors=%lld occupancy=%.2f\n",

@@ -7,12 +7,13 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_settings.h"
 #include "core/stats.h"
 #include "data/uea_catalog.h"
-#include "eval/report.h"
 
 int main() {
-  const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  const tsaug::eval::BenchSettings settings =
+      tsaug::bench::ReadSettingsOrExit();
 
   std::vector<tsaug::core::DatasetProperties> measured;
   std::printf("Generating the 13 UEA-like datasets (TSAUG_SCALE preset)...\n");

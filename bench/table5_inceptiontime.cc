@@ -9,12 +9,12 @@
 // journal and a partial report marked INTERRUPTED.
 #include <iostream>
 
+#include "bench_settings.h"
 #include "core/cancel.h"
-#include "eval/report.h"
 
 int main(int argc, char** argv) {
   tsaug::core::InstallStopSignalHandlers();
-  tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  tsaug::eval::BenchSettings settings = tsaug::bench::ReadSettingsOrExit();
   tsaug::eval::ApplyGridFlags(argc, argv, settings);
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> study =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kInceptionTime);

@@ -5,10 +5,11 @@
 // Paper reference: SMOTE 8/8, TimeGAN 7/4, Noise 7/8 (ROCKET/InceptionTime).
 #include <iostream>
 
-#include "eval/report.h"
+#include "bench_settings.h"
 
 int main() {
-  const tsaug::eval::BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  const tsaug::eval::BenchSettings settings =
+      tsaug::bench::ReadSettingsOrExit();
   std::cerr << "Running the ROCKET grid...\n";
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> rocket =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);

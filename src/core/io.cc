@@ -1,24 +1,20 @@
 #include "core/io.h"
 
+#include <climits>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
 
+#include "core/flags.h"
+
 namespace tsaug::core {
 namespace {
 
-bool ParseInt(const std::string& text, int* value) {
-  char* end = nullptr;
-  const long parsed = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *value = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* value) {
+bool ParseCsvSample(const std::string& text, double* value) {
   if (text == "NaN" || text == "nan") {
     *value = std::nan("");
     return true;
@@ -38,6 +34,18 @@ void WriteValue(std::ostream& out, double v) {
 
 }  // namespace
 
+Status WriteFile(const std::string& path, std::string_view bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) return UnavailableError("cannot open " + path);
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  const bool flushed = std::fflush(file) == 0;
+  if (std::fclose(file) != 0 || !flushed || !wrote) {
+    return UnavailableError("short write to " + path);
+  }
+  return OkStatus();
+}
+
 void WriteSeriesCsv(const TimeSeries& series, std::ostream& out) {
   out << "t";
   for (int c = 0; c < series.num_channels(); ++c) out << ",ch" << c;
@@ -53,10 +61,9 @@ void WriteSeriesCsv(const TimeSeries& series, std::ostream& out) {
 }
 
 bool WriteSeriesCsv(const TimeSeries& series, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
+  std::ostringstream out;
   WriteSeriesCsv(series, out);
-  return static_cast<bool>(out);
+  return WriteFile(path, out.str()).ok();
 }
 
 void WriteDatasetCsv(const Dataset& dataset, std::ostream& out) {
@@ -74,10 +81,9 @@ void WriteDatasetCsv(const Dataset& dataset, std::ostream& out) {
 }
 
 bool WriteDatasetCsv(const Dataset& dataset, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
+  std::ostringstream out;
   WriteDatasetCsv(dataset, out);
-  return static_cast<bool>(out);
+  return WriteFile(path, out.str()).ok();
 }
 
 bool ReadDatasetCsv(std::istream& in, Dataset* dataset) {
@@ -93,16 +99,14 @@ bool ReadDatasetCsv(std::istream& in, Dataset* dataset) {
     std::string field;
     int values[4] = {0, 0, 0, 0};
     for (int k = 0; k < 4; ++k) {
-      if (!std::getline(fields, field, ',') || !ParseInt(field, &values[k])) {
+      if (!std::getline(fields, field, ',') ||
+          !ParseInt(field.c_str(), 0, INT_MAX, &values[k])) {
         return false;
       }
     }
     if (!std::getline(fields, field, ',')) return false;
     double sample = 0.0;
-    if (!ParseDouble(field, &sample)) return false;
-    if (values[0] < 0 || values[1] < 0 || values[2] < 0 || values[3] < 0) {
-      return false;
-    }
+    if (!ParseCsvSample(field, &sample)) return false;
     auto& [label, channels] = rows[values[0]];
     label = values[1];
     std::vector<double>& samples = channels[values[2]];

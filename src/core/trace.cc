@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "core/json.h"
 #include "core/thread_annotations.h"
 
 namespace tsaug::core::trace {
@@ -127,45 +128,15 @@ void AppendTextLines(const std::vector<ScopeStats>& scopes, int depth,
   }
 }
 
-void AppendJsonString(const std::string& value, std::string& out) {
-  out += '"';
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+void WriteJsonScopes(const std::vector<ScopeStats>& scopes, JsonWriter& w) {
+  w.BeginArray();
+  for (const ScopeStats& s : scopes) {
+    w.BeginObject().Key("name").String(s.name);
+    w.Key("count").Int(s.count).Key("total_ns").Int(s.total_ns);
+    WriteJsonScopes(s.children, w.Key("children"));
+    w.EndObject();
   }
-  out += '"';
-}
-
-void AppendJsonScopes(const std::vector<ScopeStats>& scopes,
-                      std::string& out) {
-  out += '[';
-  for (size_t i = 0; i < scopes.size(); ++i) {
-    if (i != 0) out += ',';
-    const ScopeStats& s = scopes[i];
-    out += "{\"name\":";
-    AppendJsonString(s.name, out);
-    out += ",\"count\":" + std::to_string(s.count);
-    out += ",\"total_ns\":" + std::to_string(s.total_ns);
-    out += ",\"children\":";
-    AppendJsonScopes(s.children, out);
-    out += '}';
-  }
-  out += ']';
+  w.EndArray();
 }
 
 }  // namespace
@@ -267,20 +238,14 @@ std::string ReportText() {
 }
 
 std::string ReportJson() {
-  std::string out = "{\"trace_version\":1,\"enabled\":";
-  out += Enabled() ? "true" : "false";
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : Counters()) {
-    if (!first) out += ',';
-    first = false;
-    AppendJsonString(name, out);
-    out += ':' + std::to_string(value);
-  }
-  out += "},\"scopes\":";
-  AppendJsonScopes(MergedScopes(), out);
-  out += '}';
-  return out;
+  JsonWriter w;
+  w.BeginObject().Key("trace_version").Int(1).Key("enabled").Bool(Enabled());
+  w.Key("counters").BeginObject();
+  for (const auto& [name, value] : Counters()) w.Key(name).Int(value);
+  w.EndObject();
+  WriteJsonScopes(MergedScopes(), w.Key("scopes"));
+  w.EndObject();
+  return w.str();
 }
 
 std::int64_t NowNanos() {

@@ -1,49 +1,19 @@
 #include "eval/journal.h"
 
 #include <array>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "core/faultpoint.h"
+#include "core/flags.h"
+#include "core/io.h"
+#include "core/json.h"
 
 namespace tsaug::eval {
 namespace {
-
-/// JSON string escaping for the small subset the journal writes. Control
-/// characters become \u00XX so a Status context with embedded newlines
-/// cannot tear the line-oriented format.
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char raw : text) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  return out;
-}
 
 int HexValue(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -76,6 +46,8 @@ bool ExtractString(const std::string& body, const std::string& key,
         case '\\':
           out += '\\';
           break;
+        // \n and \t come from journals written before the shared writer,
+        // which emits \u00XX for every control byte.
         case 'n':
           out += '\n';
           break;
@@ -107,45 +79,41 @@ bool ExtractString(const std::string& body, const std::string& key,
   return false;  // unterminated string
 }
 
-bool ExtractInt(const std::string& body, const std::string& key,
-                long long& out) {
+/// The raw text of `"key":<number>` up to the next ',' or '}'; empty when
+/// the key is missing or the value unterminated.
+std::string NumberToken(const std::string& body, const std::string& key) {
   const std::string pattern = "\"" + key + "\":";
   const size_t pos = body.find(pattern);
-  if (pos == std::string::npos) return false;
-  const char* start = body.c_str() + pos + pattern.size();
-  char* end = nullptr;
-  out = std::strtoll(start, &end, 10);
-  return end != start && (*end == ',' || *end == '}');
+  if (pos == std::string::npos) return "";
+  const size_t start = pos + pattern.size();
+  const size_t end = body.find_first_of(",}", start);
+  return end == std::string::npos ? "" : body.substr(start, end - start);
 }
 
-bool ExtractUint(const std::string& body, const std::string& key,
-                 unsigned long long& out) {
-  const std::string pattern = "\"" + key + "\":";
-  const size_t pos = body.find(pattern);
-  if (pos == std::string::npos) return false;
-  const char* start = body.c_str() + pos + pattern.size();
-  if (*start == '-') return false;
+/// An int-valued key; false (the record is dropped) when it is missing,
+/// malformed or out of int range.
+bool ExtractInt(const std::string& body, const std::string& key, int& out) {
+  return core::ParseInt(NumberToken(body, key).c_str(), INT_MIN, INT_MAX,
+                        &out);
+}
+
+bool ExtractUint64(const std::string& body, const std::string& key,
+                   std::uint64_t& out) {
+  const std::string token = NumberToken(body, key);
+  if (token.empty() || token[0] < '0' || token[0] > '9') return false;
   char* end = nullptr;
-  out = std::strtoull(start, &end, 10);
-  return end != start && (*end == ',' || *end == '}');
+  errno = 0;
+  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  out = value;
+  return true;
 }
 
 bool StatusCodeFromName(const std::string& name, core::StatusCode& code) {
-  constexpr core::StatusCode kAll[] = {
-      core::StatusCode::kOk,
-      core::StatusCode::kSingular,
-      core::StatusCode::kDiverged,
-      core::StatusCode::kDegenerateInput,
-      core::StatusCode::kInjectedFault,
-      core::StatusCode::kCancelled,
-      core::StatusCode::kDeadlineExceeded,
-      core::StatusCode::kInvalidArgument,
-      core::StatusCode::kUnavailable,
-      core::StatusCode::kEmptyClass,
-      core::StatusCode::kAllMissing,
-      core::StatusCode::kGeometryMismatch,
-  };
-  for (core::StatusCode candidate : kAll) {
+  // Codes are append-only (core/status.h); kGeometryMismatch is the last.
+  const int last = static_cast<int>(core::StatusCode::kGeometryMismatch);
+  for (int value = 0; value <= last; ++value) {
+    const auto candidate = static_cast<core::StatusCode>(value);
     if (name == core::StatusCodeName(candidate)) {
       code = candidate;
       return true;
@@ -183,8 +151,10 @@ bool DecodeLine(const std::string& line, std::string& body) {
 }
 
 std::string HeaderBody(const std::string& fingerprint) {
-  return "{\"type\":\"header\",\"version\":1,\"fingerprint\":\"" +
-         EscapeJson(fingerprint) + "\"}";
+  core::JsonWriter w;
+  w.BeginObject().Key("type").String("header").Key("version").Int(1);
+  w.Key("fingerprint").String(fingerprint).EndObject();
+  return w.str();
 }
 
 std::string CellBody(const JournalCell& cell) {
@@ -193,38 +163,34 @@ std::string CellBody(const JournalCell& cell) {
   std::memcpy(&bits, &cell.score, sizeof(bits));
   char score_text[40];
   std::snprintf(score_text, sizeof(score_text), "%.17g", cell.score);
-  return std::string("{\"type\":\"cell\",\"dataset\":\"") +
-         EscapeJson(cell.dataset) + "\",\"run\":" + std::to_string(cell.run) +
-         ",\"cell\":" + std::to_string(cell.cell) + ",\"name\":\"" +
-         EscapeJson(cell.name) + "\",\"score_bits\":" + std::to_string(bits) +
-         ",\"score\":\"" + score_text +
-         "\",\"retries\":" + std::to_string(cell.retries) + ",\"code\":\"" +
-         core::StatusCodeName(cell.status.code()) + "\",\"context\":\"" +
-         EscapeJson(cell.status.context()) + "\"}";
+  core::JsonWriter w;
+  w.BeginObject().Key("type").String("cell");
+  w.Key("dataset").String(cell.dataset).Key("run").Int(cell.run);
+  w.Key("cell").Int(cell.cell).Key("name").String(cell.name);
+  w.Key("score_bits").Uint(bits).Key("score").String(score_text);
+  w.Key("retries").Int(cell.retries);
+  w.Key("code").String(core::StatusCodeName(cell.status.code()));
+  w.Key("context").String(cell.status.context()).EndObject();
+  return w.str();
 }
 
 /// Parses a cell body. `score` comes from score_bits alone (the printed
 /// score is a human-readable convenience), so means computed from resumed
 /// cells match the uninterrupted run bit for bit.
 bool ParseCell(const std::string& body, JournalCell& cell) {
-  long long run = 0, index = 0, retries = 0;
-  unsigned long long bits = 0;
+  std::uint64_t bits = 0;
   std::string code_name, context;
   if (!ExtractString(body, "dataset", cell.dataset)) return false;
-  if (!ExtractInt(body, "run", run)) return false;
-  if (!ExtractInt(body, "cell", index)) return false;
+  if (!ExtractInt(body, "run", cell.run)) return false;
+  if (!ExtractInt(body, "cell", cell.cell)) return false;
   if (!ExtractString(body, "name", cell.name)) return false;
-  if (!ExtractUint(body, "score_bits", bits)) return false;
-  if (!ExtractInt(body, "retries", retries)) return false;
+  if (!ExtractUint64(body, "score_bits", bits)) return false;
+  if (!ExtractInt(body, "retries", cell.retries)) return false;
   if (!ExtractString(body, "code", code_name)) return false;
   if (!ExtractString(body, "context", context)) return false;
   core::StatusCode code = core::StatusCode::kOk;
   if (!StatusCodeFromName(code_name, code)) return false;
-  cell.run = static_cast<int>(run);
-  cell.cell = static_cast<int>(index);
-  cell.retries = static_cast<int>(retries);
-  const std::uint64_t fixed_bits = bits;
-  std::memcpy(&cell.score, &fixed_bits, sizeof(cell.score));
+  std::memcpy(&cell.score, &bits, sizeof(cell.score));
   cell.status = core::Status(code, std::move(context));
   return true;
 }
@@ -416,17 +382,9 @@ core::StatusOr<JournalMergeStats> MergeJournals(
   // so merging the same inputs twice writes byte-identical output.
   std::string text = GuardLine(HeaderBody(fingerprint));
   for (const auto& [key, cell] : merged) text += GuardLine(CellBody(cell));
-  std::FILE* out = std::fopen(output_path.c_str(), "wb");
-  if (out == nullptr) {
-    return core::UnavailableError("journal: cannot write merged journal to " +
-                                  output_path);
-  }
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), out) == text.size();
-  const bool flushed = std::fflush(out) == 0;
-  if (std::fclose(out) != 0 || !flushed || !wrote) {
-    return core::UnavailableError("journal: short write to merged journal " +
-                                  output_path);
+  core::Status written = core::WriteFile(output_path, text);
+  if (!written.ok()) {
+    return written.AddContext("journal: writing the merged journal");
   }
   return stats;
 }

@@ -1,15 +1,16 @@
 #include "eval/report.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 #include "augment/pipeline.h"
+#include "core/flags.h"
 #include "data/uea_catalog.h"
 #include "eval/shard.h"
 
@@ -179,59 +180,80 @@ void PrintImprovementCounts(const StudyResult& rocket,
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
+/// Reads integer knob `name` into `out` when it is set and non-empty; its
+/// whole value must be an int no smaller than `min`.
+core::Status EnvInt(const char* name, int min, int* out) {
   const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' ? std::atoi(value) : fallback;
+  if (value == nullptr || *value == '\0' ||
+      core::ParseInt(value, min, INT_MAX, out)) {
+    return core::OkStatus();
+  }
+  return core::InvalidArgumentError(std::string(name) + "='" + value +
+                                    "' is not an integer >= " +
+                                    std::to_string(min));
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' ? std::atof(value) : fallback;
+/// The comma-separated entries of `name`, empty ones skipped.
+std::vector<std::string> EnvList(const char* name) {
+  std::vector<std::string> entries;
+  if (const char* value = std::getenv(name); value != nullptr) {
+    std::stringstream stream(value);
+    std::string entry;
+    while (std::getline(stream, entry, ',')) {
+      if (!entry.empty()) entries.push_back(entry);
+    }
+  }
+  return entries;
 }
 
 }  // namespace
 
-BenchSettings ReadBenchSettings() {
+core::StatusOr<BenchSettings> ReadBenchSettings() {
   BenchSettings settings;
-  if (const char* scale = std::getenv("TSAUG_SCALE"); scale != nullptr) {
-    if (std::strcmp(scale, "paper") == 0) {
-      settings.scale = data::ScalePreset::kPaper;
-      settings.runs = 5;
-      settings.rocket_kernels = 10000;
-      settings.inception_epochs = 200;
-      settings.timegan_iterations = 2500;
-    } else if (std::strcmp(scale, "small") == 0) {
-      settings.scale = data::ScalePreset::kSmall;
-      settings.rocket_kernels = 1000;
-      settings.inception_epochs = 30;
-      settings.timegan_iterations = 120;
-    }
+  const char* scale = std::getenv("TSAUG_SCALE");
+  const std::string scale_name = scale != nullptr ? scale : "";
+  if (scale_name == "paper") {
+    settings.scale = data::ScalePreset::kPaper;
+    settings.runs = 5;
+    settings.rocket_kernels = 10000;
+    settings.inception_epochs = 200;
+    settings.timegan_iterations = 2500;
+  } else if (scale_name == "small") {
+    settings.scale = data::ScalePreset::kSmall;
+    settings.rocket_kernels = 1000;
+    settings.inception_epochs = 30;
+    settings.timegan_iterations = 120;
+  } else if (!scale_name.empty() && scale_name != "tiny") {
+    return core::InvalidArgumentError("TSAUG_SCALE='" + scale_name +
+                                      "' is not tiny, small or paper");
   }
-  settings.runs = EnvInt("TSAUG_RUNS", settings.runs);
-  settings.rocket_kernels = EnvInt("TSAUG_KERNELS", settings.rocket_kernels);
-  settings.inception_epochs = EnvInt("TSAUG_EPOCHS", settings.inception_epochs);
-  settings.timegan_iterations =
-      EnvInt("TSAUG_TIMEGAN_ITERS", settings.timegan_iterations);
-  settings.seed = static_cast<size_t>(EnvInt("TSAUG_SEED", 42));
-  if (const char* journal = std::getenv("TSAUG_JOURNAL");
-      journal != nullptr && *journal != '\0') {
+  TSAUG_RETURN_IF_ERROR(EnvInt("TSAUG_RUNS", 1, &settings.runs));
+  TSAUG_RETURN_IF_ERROR(EnvInt("TSAUG_KERNELS", 1, &settings.rocket_kernels));
+  TSAUG_RETURN_IF_ERROR(
+      EnvInt("TSAUG_EPOCHS", 1, &settings.inception_epochs));
+  TSAUG_RETURN_IF_ERROR(
+      EnvInt("TSAUG_TIMEGAN_ITERS", 1, &settings.timegan_iterations));
+  int seed = static_cast<int>(settings.seed);
+  TSAUG_RETURN_IF_ERROR(EnvInt("TSAUG_SEED", 0, &seed));
+  settings.seed = static_cast<std::uint64_t>(seed);
+  if (const char* journal = std::getenv("TSAUG_JOURNAL"); journal != nullptr) {
     settings.journal_path = journal;
   }
-  settings.cell_budget_seconds = EnvDouble("TSAUG_CELL_BUDGET", 0.0);
-  if (const char* names = std::getenv("TSAUG_DATASETS"); names != nullptr) {
-    std::stringstream stream(names);
-    std::string name;
-    while (std::getline(stream, name, ',')) {
-      if (!name.empty()) settings.datasets.push_back(name);
-    }
+  if (const char* budget = std::getenv("TSAUG_CELL_BUDGET");
+      budget != nullptr && *budget != '\0' &&
+      !core::ParseDouble(budget, 0.0, 1e9, &settings.cell_budget_seconds)) {
+    return core::InvalidArgumentError(std::string("TSAUG_CELL_BUDGET='") +
+                                      budget + "' is not a number of seconds");
   }
-  if (const char* names = std::getenv("TSAUG_TECHNIQUES"); names != nullptr) {
-    std::stringstream stream(names);
-    std::string name;
-    while (std::getline(stream, name, ',')) {
-      if (!name.empty()) settings.techniques.push_back(name);
-    }
+  settings.datasets = EnvList("TSAUG_DATASETS");
+  settings.techniques = EnvList("TSAUG_TECHNIQUES");
+  std::vector<std::string> paper_techniques;
+  for (const auto& technique : augment::PaperTechniques({})) {
+    paper_techniques.push_back(technique->name());
   }
+  core::Status techniques_ok =
+      CheckNames(settings.techniques, paper_techniques, "paper technique");
+  if (!techniques_ok.ok()) return techniques_ok.AddContext("TSAUG_TECHNIQUES");
   return settings;
 }
 
@@ -317,28 +339,15 @@ std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
       }
     }
   }
-  for (const std::string& wanted : settings.techniques) {
-    bool known = false;
-    for (const auto& technique : all) {
-      if (technique->name() == wanted) known = true;
-    }
-    if (!known) {
-      std::fprintf(stderr,
-                   "tsaug: TSAUG_TECHNIQUES entry \"%s\" matches no paper "
-                   "technique; ignored\n",
-                   wanted.c_str());
-    }
-  }
   return selected;
 }
 
-core::Status CheckDatasetNames(const std::vector<std::string>& names,
-                               const std::vector<std::string>& known,
-                               const std::string& suite) {
+core::Status CheckNames(const std::vector<std::string>& names,
+                        const std::vector<std::string>& known,
+                        const std::string& kind) {
   for (const std::string& name : names) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
-      return core::InvalidArgumentError("unknown " + suite + " dataset '" +
-                                        name + "'");
+      return core::InvalidArgumentError("unknown " + kind + " '" + name + "'");
     }
   }
   return core::OkStatus();
@@ -355,7 +364,7 @@ core::StatusOr<StudyResult> RunStudy(const BenchSettings& settings,
   }
   const std::vector<std::string> names =
       settings.datasets.empty() ? known : settings.datasets;
-  TSAUG_RETURN_IF_ERROR(CheckDatasetNames(names, known, "paper"));
+  TSAUG_RETURN_IF_ERROR(CheckNames(names, known, "paper dataset"));
   const std::string model_name = ModelKindName(model);
   const DatasetLoader loader = [&](const std::string& name) {
     std::fprintf(stderr, "[%s] running %s...\n", model_name.c_str(),

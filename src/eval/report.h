@@ -53,8 +53,14 @@ struct BenchSettings {
   double cell_budget_seconds = 0.0;  // 0 = no per-cell deadline
 };
 
-/// Reads the TSAUG_* environment variables.
-BenchSettings ReadBenchSettings();
+/// Reads the TSAUG_* environment variables. An unset or empty variable
+/// keeps its default; a malformed one is kInvalidArgument naming it: a
+/// TSAUG_SCALE other than tiny|small|paper, a TSAUG_RUNS, TSAUG_KERNELS,
+/// TSAUG_EPOCHS or TSAUG_TIMEGAN_ITERS that is not a whole integer >= 1, a
+/// TSAUG_SEED that is not one >= 0, a TSAUG_CELL_BUDGET that is not a
+/// finite number >= 0, or a TSAUG_TECHNIQUES entry naming no paper
+/// technique.
+[[nodiscard]] core::StatusOr<BenchSettings> ReadBenchSettings();
 
 /// Applies the bench command-line flags to `settings`:
 ///   --journal=PATH (or --journal PATH)           journal file
@@ -67,16 +73,18 @@ void ApplyGridFlags(int argc, char** argv, BenchSettings& settings);
 ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,
                                       ModelKind model);
 
-/// The paper's five techniques sized to these settings.
+/// The paper's techniques sized to these settings, filtered to
+/// settings.techniques (paper names, as ReadBenchSettings checks) when set.
 std::vector<std::shared_ptr<augment::Augmenter>> MakePaperTechniques(
     const BenchSettings& settings);
 
-/// kInvalidArgument naming the first of `names` that is not in `known`,
-/// the dataset names of `suite` ("paper", "stress"); OK when all are.
-/// Grids check their dataset list with it before the first dataset runs.
-[[nodiscard]] core::Status CheckDatasetNames(
-    const std::vector<std::string>& names,
-    const std::vector<std::string>& known, const std::string& suite);
+/// kInvalidArgument "unknown <kind> '<name>'" for the first of `names`
+/// that is not in `known`; OK when all are. Grids check their dataset list
+/// with it before the first dataset runs (kind "paper dataset" or "stress
+/// dataset"), ReadBenchSettings the TSAUG_TECHNIQUES entries.
+[[nodiscard]] core::Status CheckNames(const std::vector<std::string>& names,
+                                      const std::vector<std::string>& known,
+                                      const std::string& kind);
 
 /// Runs the full study grid (all selected datasets) for one model: the
 /// settings' config, techniques and UEA-like loader handed to

@@ -16,6 +16,7 @@
 
 #include "core/cancel.h"
 #include "core/faultpoint.h"
+#include "core/io.h"
 #include "core/trace.h"
 #include "eval/journal.h"
 
@@ -174,15 +175,8 @@ core::Status WriteCanonicalReport(const StudyResult& result,
   out += std::to_string(BitsOf(result.AverageImprovement()));
   out += "\n";
 
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return core::UnavailableError("shard: cannot write report to " + path);
-  }
-  const bool wrote = std::fwrite(out.data(), 1, out.size(), file) == out.size();
-  if (std::fclose(file) != 0 || !wrote) {
-    return core::UnavailableError("shard: short write to " + path);
-  }
-  return core::OkStatus();
+  core::Status written = core::WriteFile(path, out);
+  return written.AddContext("shard: writing the report");
 }
 
 namespace {

@@ -378,6 +378,19 @@ TEST(TraceExport, JsonEscapesQuotesInNames) {
   EXPECT_NE(FindJsonScope(*scopes, "odd\"name\\here"), nullptr) << json;
 }
 
+TEST(TraceExport, CountersOnlyJsonBytesArePinned) {
+  TraceToggleGuard guard;
+  trace::Reset();
+  trace::Enable();
+  trace::AddCount("serve.batches", 3);
+  trace::AddCount("a\"b\\", -2);
+  trace::AddCount("tab\there", 1);
+  EXPECT_EQ(trace::ReportJson(),
+            "{\"trace_version\":1,\"enabled\":true,\"counters\":{"
+            "\"a\\\"b\\\\\":-2,\"serve.batches\":3,\"tab\\u0009here\":1},"
+            "\"scopes\":[]}");
+}
+
 TEST(TraceExport, TextReportListsScopesAndCounters) {
   TraceToggleGuard guard;
   trace::Reset();

@@ -314,7 +314,7 @@ TEST(BenchSettings, DefaultsAreTiny) {
   unsetenv("TSAUG_SCALE");
   unsetenv("TSAUG_RUNS");
   unsetenv("TSAUG_KERNELS");
-  const BenchSettings settings = ReadBenchSettings();
+  const BenchSettings settings = ReadBenchSettings().value();
   EXPECT_EQ(settings.scale, data::ScalePreset::kTiny);
   EXPECT_EQ(settings.runs, 2);
   EXPECT_EQ(settings.rocket_kernels, 500);
@@ -325,7 +325,7 @@ TEST(BenchSettings, EnvOverrides) {
   setenv("TSAUG_SCALE", "paper", 1);
   setenv("TSAUG_RUNS", "3", 1);
   setenv("TSAUG_DATASETS", "Heartbeat,LSST", 1);
-  const BenchSettings settings = ReadBenchSettings();
+  const BenchSettings settings = ReadBenchSettings().value();
   EXPECT_EQ(settings.scale, data::ScalePreset::kPaper);
   EXPECT_EQ(settings.runs, 3);
   EXPECT_EQ(settings.rocket_kernels, 10000);
@@ -334,6 +334,51 @@ TEST(BenchSettings, EnvOverrides) {
   unsetenv("TSAUG_SCALE");
   unsetenv("TSAUG_RUNS");
   unsetenv("TSAUG_DATASETS");
+}
+
+TEST(BenchSettings, MalformedValuesAreTypedErrors) {
+  struct Case {
+    const char* name;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"TSAUG_SCALE", "huge"},          {"TSAUG_SCALE", "Paper"},
+      {"TSAUG_RUNS", "abc"},            {"TSAUG_RUNS", "2x"},
+      {"TSAUG_RUNS", "0"},              {"TSAUG_RUNS", "-3"},
+      {"TSAUG_RUNS", "99999999999"},    {"TSAUG_KERNELS", "0"},
+      {"TSAUG_KERNELS", " 5"},          {"TSAUG_EPOCHS", "1.5"},
+      {"TSAUG_TIMEGAN_ITERS", "0"},     {"TSAUG_SEED", "-1"},
+      {"TSAUG_SEED", "4x"},             {"TSAUG_CELL_BUDGET", "soon"},
+      {"TSAUG_CELL_BUDGET", "-2"},      {"TSAUG_CELL_BUDGET", "inf"},
+      {"TSAUG_TECHNIQUES", "noise_1.0,smoot"},
+      {"TSAUG_TECHNIQUES", "SMOTE"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + "=" + c.value);
+    setenv(c.name, c.value, 1);
+    const core::StatusOr<BenchSettings> settings = ReadBenchSettings();
+    unsetenv(c.name);
+    ASSERT_FALSE(settings.ok());
+    EXPECT_EQ(settings.status().code(), core::StatusCode::kInvalidArgument);
+    EXPECT_NE(settings.status().context().find(c.name), std::string::npos)
+        << settings.status().ToString();
+  }
+  // Empty values keep the defaults, and "tiny" names the default scale.
+  setenv("TSAUG_RUNS", "", 1);
+  setenv("TSAUG_SCALE", "tiny", 1);
+  setenv("TSAUG_TECHNIQUES", "timegan,noise_1.0", 1);
+  const core::StatusOr<BenchSettings> settings = ReadBenchSettings();
+  unsetenv("TSAUG_RUNS");
+  unsetenv("TSAUG_SCALE");
+  unsetenv("TSAUG_TECHNIQUES");
+  ASSERT_TRUE(settings.ok()) << settings.status().ToString();
+  EXPECT_EQ(settings->runs, 2);
+  EXPECT_EQ(settings->scale, data::ScalePreset::kTiny);
+  // The filter keeps the paper's technique order, not the variable's.
+  const auto techniques = MakePaperTechniques(*settings);
+  ASSERT_EQ(techniques.size(), 2u);
+  EXPECT_EQ(techniques[0]->name(), "noise_1.0");
+  EXPECT_EQ(techniques[1]->name(), "timegan");
 }
 
 TEST(MakeExperimentConfig, PaperScaleKeepsPaperArchitecture) {
@@ -353,13 +398,13 @@ TEST(MakeExperimentConfig, PaperScaleKeepsPaperArchitecture) {
 TEST(BenchSettings, JournalAndBudgetComeFromEnvironment) {
   setenv("TSAUG_JOURNAL", "/tmp/study.jsonl", 1);
   setenv("TSAUG_CELL_BUDGET", "2.5", 1);
-  const BenchSettings settings = ReadBenchSettings();
+  const BenchSettings settings = ReadBenchSettings().value();
   EXPECT_EQ(settings.journal_path, "/tmp/study.jsonl");
   EXPECT_DOUBLE_EQ(settings.cell_budget_seconds, 2.5);
   unsetenv("TSAUG_JOURNAL");
   unsetenv("TSAUG_CELL_BUDGET");
 
-  const BenchSettings defaults = ReadBenchSettings();
+  const BenchSettings defaults = ReadBenchSettings().value();
   EXPECT_TRUE(defaults.journal_path.empty());
   EXPECT_DOUBLE_EQ(defaults.cell_budget_seconds, 0.0);
 }
@@ -451,10 +496,10 @@ TEST(RunStudy, UnknownDatasetFailsTypedBeforeAnyDatasetRuns) {
 
 TEST(CheckDatasetNames, AcceptsKnownAndNamesTheFirstUnknown) {
   const std::vector<std::string> known = {"A", "B"};
-  EXPECT_TRUE(CheckDatasetNames({}, known, "paper").ok());
-  EXPECT_TRUE(CheckDatasetNames({"B", "A"}, known, "paper").ok());
-  const core::Status status = CheckDatasetNames({"A", "x", "y"}, known,
-                                                "stress");
+  EXPECT_TRUE(CheckNames({}, known, "paper dataset").ok());
+  EXPECT_TRUE(CheckNames({"B", "A"}, known, "paper dataset").ok());
+  const core::Status status =
+      CheckNames({"A", "x", "y"}, known, "stress dataset");
   EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
   EXPECT_EQ(status.context(), "unknown stress dataset 'x'");
 }

@@ -5,6 +5,7 @@
 // Status instead of silently mixing experiments.
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -204,6 +205,68 @@ TEST(Journal, StatusContextWithNewlinesCannotTearTheLineFormat) {
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->status.code(), core::StatusCode::kSingular);
   EXPECT_EQ(cell->status.context(), hostile);
+}
+
+/// A guarded journal line around `body`, as the journal writes it.
+std::string Guarded(const std::string& body) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", static_cast<unsigned>(Crc32(body)));
+  return std::string("{\"crc\":\"") + crc + "\",\"body\":" + body + "}\n";
+}
+
+TEST(Journal, LinesKeepTheirFormatAndEscapeControlBytesAsUnicode) {
+  const std::string path = TempPath("journal_bytes.jsonl");
+  std::filesystem::remove(path);
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(path, "fp=\"q\" \\ x").ok());
+    ASSERT_TRUE(journal
+                    .Append(MakeCell("toy", 1, 2, "smote", 0.5, 3,
+                                     core::DivergedError("a\001b")))
+                    .ok());
+    ASSERT_TRUE(journal
+                    .Append(MakeCell("toy", 0, 0, "baseline", 0.25, 0,
+                                     core::DivergedError("x\ny\tz")))
+                    .ok());
+  }
+  // The first two lines are byte for byte what journals have always held;
+  // \n and \t now take the same \u00XX escape as every other control byte.
+  const std::string expected =
+      Guarded("{\"type\":\"header\",\"version\":1,"
+              "\"fingerprint\":\"fp=\\\"q\\\" \\\\ x\"}") +
+      Guarded("{\"type\":\"cell\",\"dataset\":\"toy\",\"run\":1,\"cell\":2,"
+              "\"name\":\"smote\",\"score_bits\":4602678819172646912,"
+              "\"score\":\"0.5\",\"retries\":3,\"code\":\"diverged\","
+              "\"context\":\"a\\u0001b\"}") +
+      Guarded("{\"type\":\"cell\",\"dataset\":\"toy\",\"run\":0,\"cell\":0,"
+              "\"name\":\"baseline\",\"score_bits\":4598175219545276416,"
+              "\"score\":\"0.25\",\"retries\":0,\"code\":\"diverged\","
+              "\"context\":\"x\\u000ay\\u0009z\"}");
+  EXPECT_EQ(ReadAll(path), expected);
+
+  Journal resumed;
+  ASSERT_TRUE(resumed.Open(path, "fp=\"q\" \\ x").ok());
+  ASSERT_NE(resumed.Find("toy", 0, 0), nullptr);
+  EXPECT_EQ(resumed.Find("toy", 0, 0)->status.context(), "x\ny\tz");
+  EXPECT_EQ(resumed.Find("toy", 1, 2)->status.context(), "a\001b");
+}
+
+TEST(Journal, OlderLinesWithNewlineAndTabEscapesStillLoad) {
+  const std::string path = TempPath("journal_old_escapes.jsonl");
+  WriteAll(path,
+           Guarded("{\"type\":\"header\",\"version\":1,"
+                   "\"fingerprint\":\"fp=old\"}") +
+               Guarded("{\"type\":\"cell\",\"dataset\":\"toy\",\"run\":0,"
+                       "\"cell\":1,\"name\":\"smote\",\"score_bits\":0,"
+                       "\"score\":\"0\",\"retries\":1,\"code\":\"singular\","
+                       "\"context\":\"line1\\nline2\\tend\"}"));
+  Journal journal;
+  ASSERT_TRUE(journal.Open(path, "fp=old").ok());
+  EXPECT_EQ(journal.dropped_lines(), 0);
+  const JournalCell* cell = journal.Find("toy", 0, 1);
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->status.code(), core::StatusCode::kSingular);
+  EXPECT_EQ(cell->status.context(), "line1\nline2\tend");
 }
 
 }  // namespace

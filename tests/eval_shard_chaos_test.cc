@@ -10,7 +10,8 @@
 //   - a shard that exhausts its retries surfaces as failed kUnavailable
 //     cells in the report (never accuracy 0) and the run still exits 0;
 //   - bad input (unknown dataset names, malformed integer flags, an
-//     unknown suite) exits 2 before any report is written.
+//     unknown suite, malformed TSAUG_* values) exits 2 before any report
+//     is written.
 #include <sys/wait.h>
 
 #include <cstdlib>
@@ -207,6 +208,7 @@ TEST(ShardChaos, BadInputExitsTwoWithoutWritingAReport) {
   struct Case {
     const char* datasets;
     const char* args;
+    const char* env = "";
   };
   const Case cases[] = {
       {"Bogus", "--shards 0"},
@@ -221,14 +223,28 @@ TEST(ShardChaos, BadInputExitsTwoWithoutWritingAReport) {
       {"Epilepsy", "--shards 2 --max-retries two"},
       {"Epilepsy", "--shards 2 --poll-ms 0"},
       {"Epilepsy", "--shards 2 --backoff-ms"},
+      // Malformed TSAUG_* values are usage errors too, never a silent
+      // default or an abort inside the grid.
+      {"Epilepsy", "--shards 0", "TSAUG_RUNS=abc"},
+      {"Epilepsy", "--shards 0", "TSAUG_RUNS=2x"},
+      {"Epilepsy", "--shards 0", "TSAUG_KERNELS=0"},
+      {"Epilepsy", "--shards 0", "TSAUG_EPOCHS=-1"},
+      {"Epilepsy", "--shards 0", "TSAUG_TIMEGAN_ITERS=many"},
+      {"Epilepsy", "--shards 0", "TSAUG_SEED=4.5"},
+      {"Epilepsy", "--shards 0", "TSAUG_CELL_BUDGET=soon"},
+      {"Epilepsy", "--shards 0", "TSAUG_SCALE=huge"},
+      {"Epilepsy", "--shards 0", "TSAUG_TECHNIQUES=smoot,nosie_1.0"},
+      {"Epilepsy", "--shards 2", "TSAUG_RUNS=0"},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(c.datasets) + " / " + c.args);
+    SCOPED_TRACE(std::string(c.datasets) + " / " + c.args + " / " + c.env);
     std::filesystem::remove(out);
     std::filesystem::remove_all(dir);
     std::string command = "TSAUG_DATASETS='";
     command += c.datasets;
-    command += "' TSAUG_JOURNAL='' '";
+    command += "' TSAUG_JOURNAL='' TSAUG_RUNS=1 TSAUG_KERNELS=40 ";
+    command += c.env;
+    command += " '";
     command += ShardBinary();
     command += "' --journal-dir '";
     command += dir;

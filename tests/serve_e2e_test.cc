@@ -398,5 +398,52 @@ TEST(ServeE2eTest, AcceptFaultDropsOneConnectionThenRecovers) {
   EXPECT_TRUE(server.StopCleanly());
 }
 
+/// Every serving tool rejects a malformed command line with exit 2 before
+/// it listens, dials or writes: unknown flags, missing values, malformed or
+/// out-of-range numbers, and --requests / --connections below 1. `timeout`
+/// bounds a tool that wrongly accepts its flags and starts serving.
+TEST(ServeTools, BadFlagsExitTwoWithoutWriting) {
+  const char* server = ServerBinary();
+  const char* loadgen = std::getenv("TSAUG_LOADGEN_BIN");
+  const char* latency = std::getenv("TSAUG_SERVE_LATENCY_BIN");
+  if (server == nullptr || loadgen == nullptr || latency == nullptr) {
+    GTEST_SKIP() << "serving tool paths unset";
+  }
+  const std::string out = TempPath("serve_tools_bad_flags.out");
+  const std::string server_bin = "'" + std::string(server) + "'";
+  const std::string loadgen_bin = "'" + std::string(loadgen) + "'";
+  const std::string latency_bin =
+      "'" + std::string(latency) + "' --json '" + out + "'";
+  const std::string cases[] = {
+      server_bin + " --port abc",
+      server_bin + " --port 70000",
+      server_bin + " --port-file '" + out + "' --max-batch 0",
+      server_bin + " --port-file '" + out + "' --linger-ms 2ms",
+      server_bin + " --port-file '" + out + "' --bogus 1",
+      server_bin + " --port-file '" + out + "' --port",
+      loadgen_bin + " --port 5x",
+      loadgen_bin + " --port abc",
+      loadgen_bin + " --port 1 --requests 0",
+      loadgen_bin + " --port 1 --connections 0",
+      loadgen_bin + " --port 1 --connections",
+      loadgen_bin + " --port 1 --seed -1",
+      loadgen_bin + " --port 1 --timeout-ms soon",
+      loadgen_bin + " --port 1 --bogus 2",
+      latency_bin + " --connections 0",
+      latency_bin + " --requests abc",
+      latency_bin + " --linger-ms 1x",
+      latency_bin + " --bogus 1",
+      latency_bin + " --requests",
+  };
+  for (const std::string& args : cases) {
+    SCOPED_TRACE(args);
+    std::filesystem::remove(out);
+    const std::string command = "timeout 20 " + args + " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2);
+    EXPECT_FALSE(std::filesystem::exists(out));
+  }
+}
+
 }  // namespace
 }  // namespace tsaug::serve

@@ -42,7 +42,6 @@
 // Exit codes: 0 = run completed (shards that exhausted retries surface as
 // failed cells in the report, they do not sink the run); 1 = supervisor/
 // infrastructure error; 2 = usage or worker error; 3 = interrupted.
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +51,8 @@
 #include <vector>
 
 #include "core/cancel.h"
+#include "core/flags.h"
+#include "core/io.h"
 #include "core/status.h"
 #include "core/trace.h"
 #include "data/scenarios.h"
@@ -67,13 +68,6 @@ using tsaug::eval::ExperimentConfig;
 using tsaug::eval::ModelKind;
 using tsaug::eval::SupervisorOptions;
 
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && wrote;
-}
-
 /// Writes the canonical report to `out_path` and, when `trace_json` is
 /// set, the trace report; false (after saying why) on a failed write.
 bool WriteReports(const tsaug::eval::StudyResult& study,
@@ -84,26 +78,13 @@ bool WriteReports(const tsaug::eval::StudyResult& study,
     std::fprintf(stderr, "grid_shard_main: %s\n", written.ToString().c_str());
     return false;
   }
-  if (!trace_json.empty() &&
-      !WriteFile(trace_json, tsaug::core::trace::ReportJson())) {
-    std::fprintf(stderr, "grid_shard_main: cannot write %s\n",
-                 trace_json.c_str());
-    return false;
+  if (trace_json.empty()) return true;
+  const tsaug::core::Status traced =
+      tsaug::core::WriteFile(trace_json, tsaug::core::trace::ReportJson());
+  if (!traced.ok()) {
+    std::fprintf(stderr, "grid_shard_main: %s\n", traced.ToString().c_str());
   }
-  return true;
-}
-
-/// Parses the whole of `text` as a base-10 int no smaller than `min`.
-bool ParseInt(const char* text, int min, int* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (errno != 0 || *end != '\0' || value < min || value > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
+  return traced.ok();
 }
 
 /// Parses "i/N" with 0 <= i < N.
@@ -112,7 +93,8 @@ bool ParseShard(const char* text, int* index, int* count) {
   const char* slash = std::strchr(text, '/');
   if (slash == nullptr) return false;
   const std::string head(text, slash);
-  return ParseInt(head.c_str(), 0, index) && ParseInt(slash + 1, 1, count) &&
+  return tsaug::core::ParseInt(head.c_str(), 0, INT_MAX, index) &&
+         tsaug::core::ParseInt(slash + 1, 1, INT_MAX, count) &&
          *index < *count;
 }
 
@@ -146,64 +128,32 @@ int main(int argc, char** argv) {
   std::string model_name = "rocket";
   SupervisorOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    // Integer flags: the whole token must parse, at least `min`.
-    auto int_value = [&](int min, int* out) {
-      return ParseInt(value(), min, out);
-    };
-    // String flags: a following token must exist.
-    auto string_value = [&](std::string* out) {
-      const char* v = value();
-      if (v != nullptr) *out = v;
-      return v != nullptr;
-    };
-    bool ok = true;
-    if (flag == "--worker") {
-      worker = true;
-    } else if (flag == "--list") {
-      list = true;
-    } else if (flag == "--shard") {
-      ok = ParseShard(value(), &shard_index, &worker_shard_count);
-    } else if (flag == "--attempt") {
-      ok = int_value(1, &attempt);
-    } else if (flag == "--journal") {
-      ok = string_value(&worker_journal);
-    } else if (flag == "--shards") {
-      ok = int_value(0, &shards);
-    } else if (flag == "--journal-dir") {
-      ok = string_value(&journal_dir);
-    } else if (flag == "--out") {
-      ok = string_value(&out_path);
-    } else if (flag == "--trace-json") {
-      ok = string_value(&trace_json);
-    } else if (flag == "--suite") {
-      ok = string_value(&suite);
-    } else if (flag == "--model") {
-      ok = string_value(&model_name);
-    } else if (flag == "--max-retries") {
-      ok = int_value(0, &options.max_retries);
-    } else if (flag == "--backoff-ms") {
-      ok = int_value(0, &options.backoff_initial_ms);
-    } else if (flag == "--backoff-max-ms") {
-      ok = int_value(0, &options.backoff_max_ms);
-    } else if (flag == "--hang-timeout-ms") {
-      ok = int_value(0, &options.hang_timeout_ms);
-    } else if (flag == "--poll-ms") {
-      ok = int_value(1, &options.poll_interval_ms);
-    } else {
-      std::fprintf(stderr, "grid_shard_main: unknown flag %s\n", flag.c_str());
-      return Usage(argv[0]);
-    }
-    if (!ok) {
-      std::fprintf(stderr, "grid_shard_main: bad or missing value for %s\n",
-                   flag.c_str());
-      return Usage(argv[0]);
-    }
+  using tsaug::core::IntFlag;
+  using tsaug::core::StringFlag;
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {tsaug::core::SwitchFlag("--worker", &worker),
+       tsaug::core::SwitchFlag("--list", &list),
+       {"--shard", true,
+        [&](const char* v) {
+          return ParseShard(v, &shard_index, &worker_shard_count);
+        }},
+       IntFlag("--attempt", 1, INT_MAX, &attempt),
+       StringFlag("--journal", &worker_journal),
+       IntFlag("--shards", 0, INT_MAX, &shards),
+       StringFlag("--journal-dir", &journal_dir),
+       StringFlag("--out", &out_path),
+       StringFlag("--trace-json", &trace_json),
+       StringFlag("--suite", &suite),
+       StringFlag("--model", &model_name),
+       IntFlag("--max-retries", 0, INT_MAX, &options.max_retries),
+       IntFlag("--backoff-ms", 0, INT_MAX, &options.backoff_initial_ms),
+       IntFlag("--backoff-max-ms", 0, INT_MAX, &options.backoff_max_ms),
+       IntFlag("--hang-timeout-ms", 0, INT_MAX, &options.hang_timeout_ms),
+       IntFlag("--poll-ms", 1, INT_MAX, &options.poll_interval_ms)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "grid_shard_main: %s\n", parsed.ToString().c_str());
+    return Usage(argv[0]);
   }
 
   if (suite != "paper" && suite != "stress") {
@@ -245,14 +195,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const BenchSettings settings = tsaug::eval::ReadBenchSettings();
+  const tsaug::core::StatusOr<BenchSettings> read =
+      tsaug::eval::ReadBenchSettings();
+  if (!read.ok()) {
+    std::fprintf(stderr, "grid_shard_main: %s\n",
+                 read.status().ToString().c_str());
+    return 2;
+  }
+  const BenchSettings& settings = *read;
   ExperimentConfig config = tsaug::eval::MakeExperimentConfig(settings, model);
   if (stress) config.dataset_suite = "stress";
   const auto techniques = tsaug::eval::MakePaperTechniques(settings);
   std::vector<std::string> names = settings.datasets;
   if (names.empty()) names = suite_names;
   const tsaug::core::Status names_ok =
-      tsaug::eval::CheckDatasetNames(names, suite_names, suite);
+      tsaug::eval::CheckNames(names, suite_names, suite + " dataset");
   if (!names_ok.ok()) {
     std::fprintf(stderr, "grid_shard_main: %s\n",
                  names_ok.ToString().c_str());
@@ -340,7 +297,8 @@ int main(int argc, char** argv) {
   if (supervised->interrupted) {
     std::fprintf(stderr, "grid_shard_main: interrupted; skipping merge\n");
     if (!trace_json.empty()) {
-      (void)WriteFile(trace_json, tsaug::core::trace::ReportJson());
+      (void)tsaug::core::WriteFile(trace_json,
+                                   tsaug::core::trace::ReportJson());
     }
     return 3;
   }

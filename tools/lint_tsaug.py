@@ -76,6 +76,11 @@ clang-tidy) cannot express:
                         Growing a file's `(void)` count means a new failure
                         is being silently swallowed — handle the Status, or
                         raise the budget in the same change and justify it.
+  one-writer            In src/, bench/ and tools/, no hand-rolled \\u%04x
+                        JSON escaping and no file opened for writing outside
+                        src/core/json.cc (core::JsonWriter) and
+                        src/core/io.cc (core::WriteFile); the journal's "ab"
+                        appender in src/eval/journal.cc is the one exception.
 
 Exit status: 0 when clean, 1 when violations were found (one
 "file:line: [rule] message" per line on stdout), 2 on usage errors.
@@ -186,6 +191,12 @@ STATUS_DISCARD_BUDGET = {
     # DoNotOptimize provides the side effect.
     "bench/bench_kernels.cc": 4,
 }
+
+ONE_WRITER_DIRS = ("src/", "bench/", "tools/")
+ONE_WRITER_EXEMPT = ("src/core/json.cc", "src/core/io.cc")
+HAND_ESCAPE_RE = re.compile(r'\\\\u(?:%0?4|00)')
+FOPEN_MODE_RE = re.compile(r'\bfopen\s*\([^;]*?,\s*"([^"]*)"')
+WRITE_STREAM_RE = re.compile(r"\bstd::(?:ofstream|fstream)\b")
 
 CHECK_RE = re.compile(r"\bTSAUG_CHECK(?:_MSG)?\s*\(")
 CHECK_BUDGET_DIRS = ("src/linalg/", "src/augment/", "src/nn/", "src/data/")
@@ -305,6 +316,22 @@ def lint_cancellation_polls(rel, lines, violations):
         violations.append((rel, start, "cancellation-poll", message))
 
 
+def lint_one_writer(rel, i, line, violations):
+    """one-writer: see the module docstring."""
+    if HAND_ESCAPE_RE.search(line):
+        violations.append((rel, i, "one-writer",
+                           "hand-rolled JSON escaping; encode through "
+                           "core::JsonWriter (src/core/json.h)"))
+    mode = FOPEN_MODE_RE.search(line)
+    mode = mode.group(1) if mode else "r"
+    journal_append = rel == "src/eval/journal.cc" and mode == "ab"
+    if (any(c in mode for c in "wa+") and not journal_append) or \
+            WRITE_STREAM_RE.search(line):
+        violations.append((rel, i, "one-writer",
+                           "file opened for writing; write whole files "
+                           "through core::WriteFile (src/core/io.h)"))
+
+
 def lint_file(rel, lines, violations):
     is_header = rel.endswith((".h", ".hpp"))
     in_src = rel.startswith("src/")
@@ -366,6 +393,8 @@ def lint_file(rel, lines, violations):
                          "ParallelFor body captures by reference without a "
                          "nearby comment justifying determinism (say how "
                          "writes are disjoint / order is fixed)"))
+        if rel.startswith(ONE_WRITER_DIRS) and rel not in ONE_WRITER_EXEMPT:
+            lint_one_writer(rel, i, line, violations)
     discard_budget = STATUS_DISCARD_BUDGET.get(rel, 0)
     if len(void_lines) > discard_budget:
         violations.append(
@@ -456,7 +485,8 @@ def self_test(repo_root):
     all_rules = {"rng-discipline", "check-macro", "test-registration",
                  "no-iostream-header", "no-wall-clock", "parallel-capture",
                  "check-budget", "simd-confinement", "mutex-annotation",
-                 "cancellation-poll", "status-discard-budget"}
+                 "cancellation-poll", "status-discard-budget",
+                 "one-writer"}
     for rule in sorted(all_rules - rules_covered):
         ok = False
         print(f"self-test: no fixture exercises rule [{rule}]")

@@ -10,40 +10,40 @@
 //   --requests N      requests per connection (default 25)
 //   --timeout-ms N    per-request deadline   (default 0 = none)
 //   --seed N          workload base seed     (default 1)
+//
+// An unknown flag, a missing value, a malformed number or --connections /
+// --requests below 1 exits 2.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "core/flags.h"
 #include "core/status.h"
 #include "serve/loadgen.h"
 
 int main(int argc, char** argv) {
+  using tsaug::core::IntFlag;
   tsaug::serve::LoadConfig config;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--host") {
-      config.host = value;
-    } else if (flag == "--port") {
-      config.port = std::atoi(value.c_str());
-    } else if (flag == "--connections") {
-      config.connections = std::atoi(value.c_str());
-    } else if (flag == "--requests") {
-      config.requests_per_connection = std::atoi(value.c_str());
-    } else if (flag == "--timeout-ms") {
-      config.timeout_millis =
-          static_cast<std::uint32_t>(std::atoi(value.c_str()));
-    } else if (flag == "--seed") {
-      config.base_seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
-    } else {
-      std::fprintf(stderr, "serve_loadgen: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
+  int timeout_ms = 0;
+  int seed = static_cast<int>(config.base_seed);
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {tsaug::core::StringFlag("--host", &config.host),
+       IntFlag("--port", 1, 65535, &config.port),
+       IntFlag("--connections", 1, INT_MAX, &config.connections),
+       IntFlag("--requests", 1, INT_MAX, &config.requests_per_connection),
+       IntFlag("--timeout-ms", 0, INT_MAX, &timeout_ms),
+       IntFlag("--seed", 0, INT_MAX, &seed)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "serve_loadgen: %s\n", parsed.ToString().c_str());
+    return 2;
   }
-  if (config.port <= 0) {
+  if (config.port == 0) {
     std::fprintf(stderr, "serve_loadgen: --port is required\n");
     return 2;
   }
+  config.timeout_millis = static_cast<std::uint32_t>(timeout_ms);
+  config.base_seed = static_cast<std::uint64_t>(seed);
 
   tsaug::core::StatusOr<tsaug::serve::LoadReport> ran =
       tsaug::serve::RunLoad(config);

@@ -12,63 +12,48 @@
 //   --max-queue-depth N admission control bound                 (default 1024)
 //   --max-connections N concurrent connection bound             (default 128)
 //   --idle-timeout-ms N close connections idle this long        (default 0 = off)
+//
+// An unknown flag, a missing value or a malformed or out-of-range number
+// exits 2.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/cancel.h"
+#include "core/flags.h"
+#include "core/io.h"
 #include "core/status.h"
 #include "core/trace.h"
 #include "serve/server.h"
 
-namespace {
-
-using tsaug::serve::Server;
-using tsaug::serve::ServerConfig;
-
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && wrote;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  ServerConfig config;
+  using tsaug::core::IntFlag;
+  tsaug::serve::ServerConfig config;
   config.service = tsaug::serve::DefaultServiceConfig();
   std::string port_file;
   std::string trace_json;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    if (flag == "--port") {
-      config.port = std::atoi(value.c_str());
-    } else if (flag == "--port-file") {
-      port_file = value;
-    } else if (flag == "--trace-json") {
-      trace_json = value;
-    } else if (flag == "--max-batch") {
-      config.batching.max_batch = std::atoi(value.c_str());
-    } else if (flag == "--linger-ms") {
-      config.batching.max_linger_nanos =
-          static_cast<std::int64_t>(std::atof(value.c_str()) * 1e6);
-    } else if (flag == "--max-queue-depth") {
-      config.batching.max_queue_depth = std::atoi(value.c_str());
-    } else if (flag == "--max-connections") {
-      config.max_connections = std::atoi(value.c_str());
-    } else if (flag == "--idle-timeout-ms") {
-      config.idle_timeout_ms = std::atoi(value.c_str());
-    } else {
-      std::fprintf(stderr, "serve_main: unknown flag %s\n", flag.c_str());
-      return 2;
-    }
+  double linger_ms =
+      static_cast<double>(config.batching.max_linger_nanos) / 1e6;
+  const tsaug::core::Status parsed = tsaug::core::ParseFlags(
+      argc, argv,
+      {IntFlag("--port", 0, 65535, &config.port),
+       tsaug::core::StringFlag("--port-file", &port_file),
+       tsaug::core::StringFlag("--trace-json", &trace_json),
+       IntFlag("--max-batch", 1, INT_MAX, &config.batching.max_batch),
+       tsaug::core::DoubleFlag("--linger-ms", 0.0, 1e6, &linger_ms),
+       IntFlag("--max-queue-depth", 1, INT_MAX,
+               &config.batching.max_queue_depth),
+       IntFlag("--max-connections", 1, INT_MAX, &config.max_connections),
+       IntFlag("--idle-timeout-ms", 0, INT_MAX, &config.idle_timeout_ms)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "serve_main: %s\n", parsed.ToString().c_str());
+    return 2;
   }
+  config.batching.max_linger_nanos = static_cast<std::int64_t>(linger_ms * 1e6);
   if (!trace_json.empty()) tsaug::core::trace::Enable();
 
   tsaug::core::InstallStopSignalHandlers();
-  Server server(config);
+  tsaug::serve::Server server(config);
   const tsaug::core::Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "serve_main: %s\n", started.ToString().c_str());
@@ -76,21 +61,27 @@ int main(int argc, char** argv) {
   }
   std::printf("serve_main: listening on %d\n", server.port());
   std::fflush(stdout);
-  if (!port_file.empty() &&
-      !WriteFile(port_file, std::to_string(server.port()) + "\n")) {
-    std::fprintf(stderr, "serve_main: cannot write %s\n", port_file.c_str());
-    server.Shutdown();
-    return 1;
+  if (!port_file.empty()) {
+    const tsaug::core::Status written = tsaug::core::WriteFile(
+        port_file, std::to_string(server.port()) + "\n");
+    if (!written.ok()) {
+      std::fprintf(stderr, "serve_main: %s\n", written.ToString().c_str());
+      server.Shutdown();
+      return 1;
+    }
   }
 
   server.Wait();  // returns only after the drain completed
 
   // Export ordering (see Server::Shutdown): every worker is joined before
   // this point, so the counter snapshot is complete.
-  if (!trace_json.empty() &&
-      !WriteFile(trace_json, tsaug::core::trace::ReportJson())) {
-    std::fprintf(stderr, "serve_main: cannot write %s\n", trace_json.c_str());
-    return 1;
+  if (!trace_json.empty()) {
+    const tsaug::core::Status written =
+        tsaug::core::WriteFile(trace_json, tsaug::core::trace::ReportJson());
+    if (!written.ok()) {
+      std::fprintf(stderr, "serve_main: %s\n", written.ToString().c_str());
+      return 1;
+    }
   }
   std::printf("serve_main: drained\n");
   return 0;
