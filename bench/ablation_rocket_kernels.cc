@@ -26,7 +26,8 @@ int main() {
     for (int kernels : kernel_grid) {
       const auto start = std::chrono::steady_clock::now();
       tsaug::classify::RocketClassifier clf(kernels, settings.seed);
-      clf.Fit(data.train);
+      const tsaug::core::Status fitted = clf.TryFit(data.train);
+      TSAUG_CHECK_MSG(fitted.ok(), "%s", fitted.ToString().c_str());
       const double accuracy = clf.Score(data.test);
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   auto score = [&](const tsaug::core::Dataset& train) {
     tsaug::classify::RocketClassifier clf(/*num_kernels=*/200, /*seed=*/5,
                                           /*z_normalize=*/false);
-    clf.Fit(train);
+    const tsaug::core::Status fitted = clf.TryFit(train);
+    TSAUG_CHECK_MSG(fitted.ok(), "%s", fitted.ToString().c_str());
     return clf.Score(test);
   };
   std::printf("\nROCKET accuracy on a balanced test set:\n");

@@ -16,11 +16,19 @@
 
 namespace {
 
+double FitAndScore(tsaug::classify::Classifier& clf,
+                   const tsaug::core::Dataset& train,
+                   const tsaug::core::Dataset& test) {
+  const tsaug::core::Status fitted = clf.TryFit(train);
+  TSAUG_CHECK_MSG(fitted.ok(), "%s: %s", clf.name().c_str(),
+                  fitted.ToString().c_str());
+  return clf.Score(test);
+}
+
 double RocketScore(const tsaug::core::Dataset& train,
                    const tsaug::core::Dataset& test) {
   tsaug::classify::RocketClassifier clf(500, 3);
-  clf.Fit(train);
-  return clf.Score(test);
+  return FitAndScore(clf, train, test);
 }
 
 double InceptionScore(const tsaug::core::Dataset& train,
@@ -35,15 +43,13 @@ double InceptionScore(const tsaug::core::Dataset& train,
   config.trainer.early_stopping_patience = 30;
   config.trainer.learning_rate = 2e-3;
   tsaug::classify::InceptionTimeClassifier clf(config, 3);
-  clf.Fit(train);  // internal 2:1 stratified validation split
-  return clf.Score(test);
+  return FitAndScore(clf, train, test);  // internal 2:1 validation split
 }
 
 double KnnScore(const tsaug::core::Dataset& train,
                 const tsaug::core::Dataset& test) {
   tsaug::classify::KnnClassifier clf(1, tsaug::classify::NnDistance::kDtw, 4);
-  clf.Fit(train);
-  return clf.Score(test);
+  return FitAndScore(clf, train, test);
 }
 
 }  // namespace

@@ -26,7 +26,9 @@ int main() {
 
   // Baseline: ROCKET features + ridge classifier with LOOCV alpha.
   tsaug::classify::RocketClassifier baseline(/*num_kernels=*/1000, /*seed=*/7);
-  baseline.Fit(data.train);
+  const tsaug::core::Status baseline_fitted = baseline.TryFit(data.train);
+  TSAUG_CHECK_MSG(baseline_fitted.ok(), "%s",
+                  baseline_fitted.ToString().c_str());
   const double baseline_accuracy = baseline.Score(data.test);
 
   // Augmented: SMOTE-balance the training set, then train the same model.
@@ -38,7 +40,9 @@ int main() {
               balanced.size(), tsaug::core::ImbalanceDegree(balanced));
 
   tsaug::classify::RocketClassifier augmented(1000, 7);
-  augmented.Fit(balanced);
+  const tsaug::core::Status augmented_fitted = augmented.TryFit(balanced);
+  TSAUG_CHECK_MSG(augmented_fitted.ok(), "%s",
+                  augmented_fitted.ToString().c_str());
   const double augmented_accuracy = augmented.Score(data.test);
 
   std::printf("\naccuracy  baseline: %.2f%%   augmented: %.2f%%   "

@@ -17,17 +17,10 @@ class Classifier {
 
   virtual std::string name() const = 0;
 
-  /// Trains on the (possibly augmented) training set.
-  virtual void Fit(const core::Dataset& train) = 0;
-
-  /// Recoverable variant of Fit(): classifiers with a failure mode the
-  /// harness can degrade on (singular ridge solves, diverged training)
-  /// override this to return the Status instead of aborting. The default
-  /// delegates to Fit(), whose internal checks abort on programmer errors.
-  [[nodiscard]] virtual core::Status TryFit(const core::Dataset& train) {
-    Fit(train);
-    return core::OkStatus();
-  }
+  /// Trains on the (possibly augmented) training set. Failures the
+  /// harness can degrade on (degenerate input, singular ridge solves,
+  /// diverged training) come back as a Status instead of aborting.
+  [[nodiscard]] virtual core::Status TryFit(const core::Dataset& train) = 0;
 
   /// Predicted labels for every instance of `test`.
   virtual std::vector<int> Predict(const core::Dataset& test) = 0;

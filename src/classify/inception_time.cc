@@ -107,11 +107,6 @@ InceptionTimeClassifier::InceptionTimeClassifier(InceptionTimeConfig config,
   TSAUG_CHECK(config_.ensemble_size >= 1);
 }
 
-void InceptionTimeClassifier::Fit(const core::Dataset& train) {
-  const core::Status status = TryFit(train);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-}
-
 core::Status InceptionTimeClassifier::TryFit(const core::Dataset& train) {
   core::Rng rng(seed_ ^ 0x9e3779b97f4a7c15ull);
   const auto [train_part, val_part] =

@@ -80,10 +80,8 @@ class InceptionTimeClassifier : public Classifier {
 
   std::string name() const override { return "InceptionTime"; }
 
-  /// Fit with an internal stratified 2:1 train/validation split.
-  void Fit(const core::Dataset& train) override;
-
-  /// Surfaces ensemble-member training divergence (after the trainer's
+  /// Fit with an internal stratified 2:1 train/validation split. Surfaces
+  /// ensemble-member training divergence (after the trainer's
   /// checkpoint-restore retries are exhausted) instead of aborting.
   [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
 

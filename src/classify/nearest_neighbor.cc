@@ -21,14 +21,17 @@ std::string KnnClassifier::name() const {
   return base;
 }
 
-void KnnClassifier::Fit(const core::Dataset& train) {
-  TSAUG_CHECK(!train.empty());
+core::Status KnnClassifier::TryFit(const core::Dataset& train) {
+  if (train.empty()) {
+    return core::DegenerateInputError("knn: empty training set");
+  }
   train_ = core::Dataset(train.num_classes());
   for (int i = 0; i < train.size(); ++i) {
     core::TimeSeries s = core::ImputeLinear(train.series(i));
     if (z_normalize_) s = core::ZNormalize(s);
     train_.Add(std::move(s), train.label(i));
   }
+  return core::OkStatus();
 }
 
 std::vector<int> KnnClassifier::Predict(const core::Dataset& test) {
@@ -53,13 +56,16 @@ std::vector<int> KnnClassifier::Predict(const core::Dataset& test) {
     const int take = std::min<int>(k_, static_cast<int>(neighbors.size()));
     std::partial_sort(neighbors.begin(), neighbors.begin() + take,
                       neighbors.end());
-    // Majority vote among the k nearest; ties break toward the closer one.
+    // Majority vote among the k nearest. Scanning nearest first and
+    // switching only on strictly more votes, a tie goes to the label whose
+    // nearest member comes first.
     std::vector<int> votes(static_cast<size_t>(train_.num_classes()), 0);
     for (int v = 0; v < take; ++v) {
       ++votes[static_cast<size_t>(neighbors[static_cast<size_t>(v)].second)];
     }
     int best = neighbors[0].second;
-    for (int label = 0; label < train_.num_classes(); ++label) {
+    for (int v = 1; v < take; ++v) {
+      const int label = neighbors[static_cast<size_t>(v)].second;
       if (votes[static_cast<size_t>(label)] > votes[static_cast<size_t>(best)]) best = label;
     }
     predictions[static_cast<size_t>(i)] = best;

@@ -14,16 +14,18 @@ enum class NnDistance {
   kDtw,  // dependent multivariate DTW with optional Sakoe-Chiba band
 };
 
-/// k-nearest-neighbour time-series classifier, the classic "bake-off"
-/// baseline (1-NN DTW). Not part of the paper's tables but useful as a
-/// sanity baseline and heavily used in the examples.
+/// k-nearest-neighbour time-series classifier, the classic 1-NN DTW
+/// baseline. Not part of the paper's tables; examples/imbalanced_workflow
+/// compares it with the paper's two models.
 class KnnClassifier : public Classifier {
  public:
   explicit KnnClassifier(int k = 1, NnDistance distance = NnDistance::kDtw,
                          int dtw_window = -1, bool z_normalize = true);
 
   std::string name() const override;
-  void Fit(const core::Dataset& train) override;
+  /// Stores the imputed (and optionally z-normalised) training series;
+  /// an empty training set is kDegenerateInput.
+  [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
   std::vector<int> Predict(const core::Dataset& test) override;
 
  private:

@@ -270,11 +270,6 @@ RocketClassifier::RocketClassifier(int num_kernels, std::uint64_t seed,
                                    bool z_normalize)
     : transform_(num_kernels, seed), z_normalize_(z_normalize) {}
 
-void RocketClassifier::Fit(const core::Dataset& train) {
-  const core::Status status = TryFit(train);
-  TSAUG_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-}
-
 core::Status RocketClassifier::TryFit(const core::Dataset& train) {
   TSAUG_RETURN_IF_ERROR(PreflightTrain(train));
   TSAUG_RETURN_IF_ERROR(core::CheckStop("rocket.fit"));

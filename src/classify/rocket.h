@@ -101,7 +101,6 @@ class RocketClassifier : public Classifier {
                             bool z_normalize = true);
 
   std::string name() const override { return "ROCKET"; }
-  void Fit(const core::Dataset& train) override;
   /// Surfaces ridge-solve failures (after alpha escalation is exhausted)
   /// instead of aborting.
   [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;

@@ -8,59 +8,6 @@
 
 namespace tsaug::eval {
 
-linalg::Matrix ConfusionMatrix(const std::vector<int>& predicted,
-                               const std::vector<int>& labels,
-                               int num_classes) {
-  TSAUG_CHECK(predicted.size() == labels.size());
-  TSAUG_CHECK(num_classes >= 1);
-  linalg::Matrix confusion(num_classes, num_classes);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    TSAUG_CHECK(labels[i] >= 0 && labels[i] < num_classes);
-    TSAUG_CHECK(predicted[i] >= 0 && predicted[i] < num_classes);
-    confusion(labels[i], predicted[i]) += 1.0;
-  }
-  return confusion;
-}
-
-std::vector<double> PerClassRecall(const linalg::Matrix& confusion) {
-  std::vector<double> recall(static_cast<size_t>(confusion.rows()), 0.0);
-  for (int k = 0; k < confusion.rows(); ++k) {
-    double total = 0.0;
-    for (int j = 0; j < confusion.cols(); ++j) total += confusion(k, j);
-    recall[static_cast<size_t>(k)] = total > 0.0 ? confusion(k, k) / total : 0.0;
-  }
-  return recall;
-}
-
-std::vector<double> PerClassPrecision(const linalg::Matrix& confusion) {
-  std::vector<double> precision(static_cast<size_t>(confusion.cols()), 0.0);
-  for (int k = 0; k < confusion.cols(); ++k) {
-    double total = 0.0;
-    for (int i = 0; i < confusion.rows(); ++i) total += confusion(i, k);
-    precision[static_cast<size_t>(k)] = total > 0.0 ? confusion(k, k) / total : 0.0;
-  }
-  return precision;
-}
-
-double MacroF1(const std::vector<int>& predicted,
-               const std::vector<int>& labels, int num_classes) {
-  const linalg::Matrix confusion =
-      ConfusionMatrix(predicted, labels, num_classes);
-  const std::vector<double> recall = PerClassRecall(confusion);
-  const std::vector<double> precision = PerClassPrecision(confusion);
-  double f1_sum = 0.0;
-  int present = 0;
-  for (int k = 0; k < num_classes; ++k) {
-    double support = 0.0;
-    for (int j = 0; j < num_classes; ++j) support += confusion(k, j);
-    if (support == 0.0) continue;
-    ++present;
-    const double denom = precision[static_cast<size_t>(k)] + recall[static_cast<size_t>(k)];
-    f1_sum += denom > 0.0 ? 2.0 * precision[static_cast<size_t>(k)] * recall[static_cast<size_t>(k)] / denom : 0.0;
-  }
-  return present > 0 ? f1_sum / present : 0.0;
-}
-
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b) {
   TSAUG_CHECK(a.size() == b.size());
@@ -129,23 +76,6 @@ double SpearmanCorrelation(const std::vector<double>& a,
     }
   }
   return PearsonCorrelation(AverageRanks(finite_a), AverageRanks(finite_b));
-}
-
-double BalancedAccuracy(const std::vector<int>& predicted,
-                        const std::vector<int>& labels, int num_classes) {
-  const linalg::Matrix confusion =
-      ConfusionMatrix(predicted, labels, num_classes);
-  const std::vector<double> recall = PerClassRecall(confusion);
-  double sum = 0.0;
-  int present = 0;
-  for (int k = 0; k < num_classes; ++k) {
-    double support = 0.0;
-    for (int j = 0; j < num_classes; ++j) support += confusion(k, j);
-    if (support == 0.0) continue;
-    ++present;
-    sum += recall[static_cast<size_t>(k)];
-  }
-  return present > 0 ? sum / present : 0.0;
 }
 
 }  // namespace tsaug::eval

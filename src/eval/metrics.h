@@ -3,31 +3,7 @@
 
 #include <vector>
 
-#include "linalg/matrix.h"
-
 namespace tsaug::eval {
-
-/// Confusion matrix: entry (i, j) counts instances of true class i
-/// predicted as class j.
-linalg::Matrix ConfusionMatrix(const std::vector<int>& predicted,
-                               const std::vector<int>& labels,
-                               int num_classes);
-
-/// Per-class recall (sensitivity); classes absent from `labels` get 0.
-std::vector<double> PerClassRecall(const linalg::Matrix& confusion);
-
-/// Per-class precision; classes never predicted get 0.
-std::vector<double> PerClassPrecision(const linalg::Matrix& confusion);
-
-/// Macro-averaged F1 over classes present in the labels — the imbalance-
-/// robust companion to accuracy for the study's skewed datasets.
-double MacroF1(const std::vector<int>& predicted,
-               const std::vector<int>& labels, int num_classes);
-
-/// Balanced accuracy: mean per-class recall over classes present in the
-/// labels.
-double BalancedAccuracy(const std::vector<int>& predicted,
-                        const std::vector<int>& labels, int num_classes);
 
 /// Pearson correlation coefficient of two equal-length samples; returns 0
 /// when either sample is constant. Used by the gain-vs-properties

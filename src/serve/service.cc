@@ -34,7 +34,8 @@ Service::Service(const ServiceConfig& config)
   // Fitting at construction makes every later score batch a pure
   // transform+predict: the model (like the dataset) is part of the
   // registry, deterministic in the config seeds.
-  model_.Fit(data_.train);
+  const core::Status fitted = model_.TryFit(data_.train);
+  TSAUG_CHECK_MSG(fitted.ok(), "serve: %s", fitted.ToString().c_str());
 }
 
 augment::Augmenter* Service::FindTechnique(const std::string& name) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/faultpoint.h"
 #include "data/synthetic.h"
 
 namespace tsaug::classify {
@@ -84,7 +85,7 @@ TEST(InceptionTimeClassifier, LearnsSeparableClasses) {
   const data::TrainTest data = data::MakeSynthetic(spec);
 
   InceptionTimeClassifier clf(TinyConfig(), /*seed=*/1);
-  clf.Fit(data.train);
+  ASSERT_TRUE(clf.TryFit(data.train).ok());
   EXPECT_GE(clf.Score(data.test), 0.7);
   ASSERT_EQ(clf.train_results().size(), 1u);
   EXPECT_GT(clf.train_results()[0].best_val_accuracy, 0.5);
@@ -107,6 +108,23 @@ TEST(InceptionTimeClassifier, FitWithValidationUsesGivenSplit) {
   ASSERT_TRUE(clf.TryFitWithValidation(train_part, val_part).ok());
   const std::vector<int> predictions = clf.Predict(data.test);
   EXPECT_EQ(predictions.size(), 12u);
+}
+
+TEST(InceptionTimeClassifier, DivergedTrainingFailsTyped) {
+  data::SyntheticSpec spec;
+  spec.num_classes = 2;
+  spec.train_counts = {12, 12};
+  spec.test_counts = {4, 4};
+  spec.num_channels = 1;
+  spec.length = 16;
+  spec.seed = 9;
+  const data::TrainTest data = data::MakeSynthetic(spec);
+  InceptionTimeClassifier clf(TinyConfig(), 10);
+  // Every batch loss is poisoned, so the divergence retries run out.
+  core::fault::SetSpec("trainer.step:1+");
+  const core::Status status = clf.TryFit(data.train);
+  core::fault::Clear();
+  EXPECT_EQ(status.code(), core::StatusCode::kDiverged) << status.ToString();
 }
 
 TEST(Trainer, EarlyStoppingRestoresBestState) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/faultpoint.h"
 #include "core/kernels/kernels.h"
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -203,7 +204,7 @@ TEST(RocketTransform, MatchesCheckedReferenceBitForBit) {
 TEST(RocketClassifier, LearnsSeparableClasses) {
   const data::TrainTest data = TwoClassData();
   RocketClassifier clf(/*num_kernels=*/300, /*seed=*/7);
-  clf.Fit(data.train);
+  ASSERT_TRUE(clf.TryFit(data.train).ok());
   EXPECT_GE(clf.Score(data.test), 0.85);
 }
 
@@ -217,7 +218,7 @@ TEST(RocketClassifier, MulticlassImbalanced) {
   spec.seed = 11;
   const data::TrainTest data = data::MakeSynthetic(spec);
   RocketClassifier clf(300, 3);
-  clf.Fit(data.train);
+  ASSERT_TRUE(clf.TryFit(data.train).ok());
   EXPECT_GE(clf.Score(data.test), 0.6);
 }
 
@@ -232,7 +233,7 @@ TEST(RocketClassifier, HandlesVariableLengthAndMissing) {
   spec.seed = 13;
   const data::TrainTest data = data::MakeSynthetic(spec);
   RocketClassifier clf(150, 1);
-  clf.Fit(data.train);
+  ASSERT_TRUE(clf.TryFit(data.train).ok());
   const std::vector<int> predictions = clf.Predict(data.test);
   EXPECT_EQ(predictions.size(), 10u);
   for (int p : predictions) EXPECT_TRUE(p == 0 || p == 1);
@@ -242,11 +243,23 @@ TEST(RocketClassifier, MoreKernelsHelpOnHardData) {
   const data::TrainTest data = TwoClassData(21, /*separation=*/0.35);
   RocketClassifier small(20, 5);
   RocketClassifier large(500, 5);
-  small.Fit(data.train);
-  large.Fit(data.train);
+  ASSERT_TRUE(small.TryFit(data.train).ok());
+  ASSERT_TRUE(large.TryFit(data.train).ok());
   // Not strictly monotone in general, but on this task the 25x kernel
   // count should not do worse.
   EXPECT_GE(large.Score(data.test) + 0.1, small.Score(data.test));
+}
+
+TEST(RocketClassifier, SingularRidgeSolveFailsTyped) {
+  const data::TrainTest data = TwoClassData(13);
+  RocketClassifier clf(200, 3);
+  // Every ridge solve fails, so alpha escalation runs out.
+  core::fault::SetSpec("ridge.solve:1+");
+  const core::Status status = clf.TryFit(data.train);
+  core::fault::Clear();
+  EXPECT_EQ(status.code(), core::StatusCode::kInjectedFault)
+      << status.ToString();
+  EXPECT_EQ(clf.ridge().solve_retries(), 4);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "core/rng.h"
 
 namespace tsaug::data {
 namespace {
@@ -168,6 +171,69 @@ TEST(WriteTsFile, RoundTripsThroughReader) {
   EXPECT_DOUBLE_EQ(loaded.series(0).at(0, 1), 2.0);
   EXPECT_TRUE(std::isnan(loaded.series(0).at(1, 1)));
   EXPECT_DOUBLE_EQ(loaded.series(1).at(1, 0), 7.0);
+}
+
+// Seeded-mutation fuzzing of the reader: a valid document with a label
+// vocabulary, several dimensions, '?' and ragged dimensions, given byte
+// inserts, deletes and replacements from the format's own alphabet, and
+// truncations. The invariant: accepted with a non-empty dataset, or
+// rejected with a non-empty error, never a crash; the asan/ubsan CI legs
+// run this too.
+constexpr char kFuzzSeed[] = R"(# fuzz seed
+@problemName Fuzz
+@univariate false
+@classLabel true a b c
+@data
+1.0,2.5,-3e-2:4,?,6,7:a
+?,0.5:1.25e+1,2,3:b
+8,9,10:11,12:c
+)";
+
+std::string MutateTs(std::string text, core::Rng& rng) {
+  constexpr char kAlphabet[] = "0123456789.,:?@#e+-\n \t";
+  constexpr int kAlphabetSize = static_cast<int>(sizeof(kAlphabet)) - 1;
+  for (int m = rng.Int(1, 4); m > 0; --m) {
+    const int size = static_cast<int>(text.size());
+    const auto at = static_cast<size_t>(rng.Int(0, size));
+    const char byte = kAlphabet[rng.Index(kAlphabetSize)];
+    switch (rng.Int(0, 3)) {
+      case 0:
+        text.insert(at, 1, byte);
+        break;
+      case 1:
+        if (at < text.size()) text.erase(at, 1);
+        break;
+      case 2:
+        if (at < text.size()) text[at] = byte;
+        break;
+      default:
+        text.resize(at);
+        break;
+    }
+  }
+  return text;
+}
+
+TEST(ReadTsFile, MutatedDocumentsParseOrRejectWithError) {
+  core::Rng rng(20261017);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::string mutated = MutateTs(kFuzzSeed, rng);
+    SCOPED_TRACE(mutated);
+    std::istringstream in(mutated);
+    core::Dataset dataset;
+    std::string error;
+    if (ReadTsFile(in, &dataset, &error)) {
+      ++accepted;
+      EXPECT_FALSE(dataset.empty());
+    } else {
+      ++rejected;
+      EXPECT_FALSE(error.empty());
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(LoadUeaProblem, MissingFilesReportError) {

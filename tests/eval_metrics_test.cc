@@ -8,69 +8,6 @@
 namespace tsaug::eval {
 namespace {
 
-TEST(ConfusionMatrix, CountsCells) {
-  const linalg::Matrix m = ConfusionMatrix({0, 1, 1, 0, 1}, {0, 1, 0, 0, 1}, 2);
-  EXPECT_DOUBLE_EQ(m(0, 0), 2.0);  // true 0 predicted 0
-  EXPECT_DOUBLE_EQ(m(0, 1), 1.0);  // true 0 predicted 1
-  EXPECT_DOUBLE_EQ(m(1, 0), 0.0);
-  EXPECT_DOUBLE_EQ(m(1, 1), 2.0);
-}
-
-TEST(PerClassRecall, PerfectAndZero) {
-  const linalg::Matrix m = ConfusionMatrix({0, 0, 0}, {0, 0, 1}, 2);
-  const std::vector<double> recall = PerClassRecall(m);
-  EXPECT_DOUBLE_EQ(recall[0], 1.0);
-  EXPECT_DOUBLE_EQ(recall[1], 0.0);
-}
-
-TEST(PerClassPrecision, HandlesNeverPredicted) {
-  const linalg::Matrix m = ConfusionMatrix({0, 0, 0}, {0, 0, 1}, 2);
-  const std::vector<double> precision = PerClassPrecision(m);
-  EXPECT_DOUBLE_EQ(precision[0], 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(precision[1], 0.0);
-}
-
-TEST(MacroF1, PerfectPredictionIsOne) {
-  EXPECT_DOUBLE_EQ(MacroF1({0, 1, 2, 1}, {0, 1, 2, 1}, 3), 1.0);
-}
-
-TEST(MacroF1, MajorityVotePenalizedOnImbalance) {
-  // 9 of class 0, 1 of class 1; predicting all-0 has 90% accuracy but
-  // macro F1 much lower.
-  std::vector<int> labels(10, 0);
-  labels[9] = 1;
-  const std::vector<int> all_zero(10, 0);
-  const double f1 = MacroF1(all_zero, labels, 2);
-  EXPECT_LT(f1, 0.5);
-  EXPECT_GT(f1, 0.4);  // (0.947 + 0) / 2
-}
-
-TEST(MacroF1, IgnoresAbsentClasses) {
-  // num_classes = 5 but only classes 0 and 1 appear: absent classes must
-  // not drag the average down.
-  EXPECT_DOUBLE_EQ(MacroF1({0, 1}, {0, 1}, 5), 1.0);
-}
-
-TEST(BalancedAccuracy, MeanOfRecalls) {
-  // Class 0: 2/2 correct; class 1: 1/2 correct -> 0.75.
-  EXPECT_DOUBLE_EQ(BalancedAccuracy({0, 0, 1, 0}, {0, 0, 1, 1}, 2), 0.75);
-}
-
-TEST(BalancedAccuracy, InsensitiveToClassSizes) {
-  // 90/10 imbalance, both classes 50% recall -> balanced accuracy 0.5.
-  std::vector<int> labels;
-  std::vector<int> predicted;
-  for (int i = 0; i < 90; ++i) {
-    labels.push_back(0);
-    predicted.push_back(i < 45 ? 0 : 1);
-  }
-  for (int i = 0; i < 10; ++i) {
-    labels.push_back(1);
-    predicted.push_back(i < 5 ? 1 : 0);
-  }
-  EXPECT_NEAR(BalancedAccuracy(predicted, labels, 2), 0.5, 1e-12);
-}
-
 TEST(PearsonCorrelation, PerfectLinearRelations) {
   EXPECT_NEAR(PearsonCorrelation({1, 2, 3, 4}, {2, 4, 6, 8}), 1.0, 1e-12);
   EXPECT_NEAR(PearsonCorrelation({1, 2, 3, 4}, {8, 6, 4, 2}), -1.0, 1e-12);

@@ -1,6 +1,9 @@
 #include "fft/fft.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -59,29 +62,61 @@ TEST_P(FftRoundTrip, InverseRecoversSignal) {
 }
 
 // Powers of two exercise radix-2; the rest exercise Bluestein, including
-// primes and the paper datasets' odd lengths.
-INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
-                         ::testing::Values(1, 2, 4, 8, 64, 256, 3, 5, 7, 12,
-                                           30, 93, 144, 182, 405));
+// the paper datasets' odd lengths and the primes 3 to 13, 97 and 1009.
+const auto kFftSizes = ::testing::Values(1, 2, 4, 8, 64, 256, 3, 5, 7, 12,
+                                         30, 93, 144, 182, 405, 11, 13, 97,
+                                         1009);
 
-TEST(Fft, MatchesNaiveDftOnArbitraryLength) {
-  const int n = 11;
-  core::Rng rng(42);
-  std::vector<Complex> data(n);
-  for (int i = 0; i < n; ++i) data[static_cast<size_t>(i)] = Complex(rng.Normal(), 0.0);
-  std::vector<Complex> naive(n, Complex(0, 0));
-  for (int k = 0; k < n; ++k) {
-    for (int t = 0; t < n; ++t) {
-      const double angle = -2.0 * std::numbers::pi * k * t / n;
-      naive[static_cast<size_t>(k)] += data[static_cast<size_t>(t)] * Complex(std::cos(angle), std::sin(angle));
+INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip, kFftSizes);
+
+/// O(n^2) DFT oracle; the inverse conjugates and divides by n. The twiddle
+/// angle comes from (k*t) mod n, so the oracle's own rounding stays at a
+/// few ulps instead of growing with k*t.
+std::vector<Complex> NaiveDft(const std::vector<Complex>& x, bool inverse) {
+  const std::int64_t n = static_cast<std::int64_t>(x.size());
+  const double sign = inverse ? 1.0 : -1.0;
+  std::vector<Complex> out(x.size(), Complex(0, 0));
+  for (std::int64_t k = 0; k < n; ++k) {
+    Complex sum(0, 0);
+    for (std::int64_t t = 0; t < n; ++t) {
+      const double angle = sign * 2.0 * std::numbers::pi *
+                           static_cast<double>((k * t) % n) /
+                           static_cast<double>(n);
+      sum += x[static_cast<size_t>(t)] * Complex(std::cos(angle), std::sin(angle));
     }
+    out[static_cast<size_t>(k)] = inverse ? sum / static_cast<double>(n) : sum;
   }
-  Fft(data);
-  for (int k = 0; k < n; ++k) {
-    EXPECT_NEAR(data[static_cast<size_t>(k)].real(), naive[static_cast<size_t>(k)].real(), 1e-9);
-    EXPECT_NEAR(data[static_cast<size_t>(k)].imag(), naive[static_cast<size_t>(k)].imag(), 1e-9);
+  return out;
+}
+
+class FftOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(FftOracle, MatchesNaiveDftForwardAndInverse) {
+  const int n = GetParam();
+  core::Rng rng(static_cast<std::uint64_t>(n) + 1000);
+  std::vector<Complex> input(static_cast<size_t>(n));
+  for (Complex& v : input) v = Complex(rng.Normal(), rng.Normal());
+  for (const bool inverse : {false, true}) {
+    const std::vector<Complex> expected = NaiveDft(input, inverse);
+    std::vector<Complex> actual = input;
+    Fft(actual, inverse);
+    double max_magnitude = 0.0;
+    double max_error = 0.0;
+    for (size_t k = 0; k < expected.size(); ++k) {
+      max_magnitude = std::max(max_magnitude, std::abs(expected[k]));
+      max_error = std::max(max_error, std::abs(actual[k] - expected[k]));
+    }
+    // An FFT's rounding bound n*log2(n)*eps*max|X|; log2(n) is floored at
+    // 1 so that n = 1 keeps one ulp of slack.
+    const double tolerance = static_cast<double>(n) *
+                             std::max(1.0, std::log2(static_cast<double>(n))) *
+                             std::numeric_limits<double>::epsilon() *
+                             max_magnitude;
+    EXPECT_LE(max_error, tolerance) << "n=" << n << " inverse=" << inverse;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FftOracle, kFftSizes);
 
 TEST(RealFft, RoundTripsThroughInverse) {
   core::Rng rng(9);

@@ -17,7 +17,6 @@
 #include "augment/oversample.h"
 #include "augment/timegan.h"
 #include "augment/vae.h"
-#include "classify/minirocket.h"
 #include "classify/nearest_neighbor.h"
 #include "classify/rocket.h"
 #include "core/faultpoint.h"
@@ -94,7 +93,7 @@ TEST(ParallelDeterminism, RocketTransformAndPredictIdentical) {
   const linalg::Matrix reference_features = reference_transform.Transform(x);
 
   classify::RocketClassifier reference(150, 11);
-  reference.Fit(data.train);
+  ASSERT_TRUE(reference.TryFit(data.train).ok());
   const std::vector<int> reference_predictions = reference.Predict(data.test);
 
   for (int threads : kThreadCounts) {
@@ -105,25 +104,7 @@ TEST(ParallelDeterminism, RocketTransformAndPredictIdentical) {
         << threads << " threads";
 
     classify::RocketClassifier clf(150, 11);
-    clf.Fit(data.train);
-    EXPECT_EQ(reference_predictions, clf.Predict(data.test))
-        << threads << " threads";
-  }
-}
-
-TEST(ParallelDeterminism, MiniRocketPredictIdentical) {
-  ThreadCountGuard guard;
-  const data::TrainTest data = SmallData(5);
-
-  core::SetNumThreads(1);
-  classify::MiniRocketClassifier reference(84, 2);
-  reference.Fit(data.train);
-  const std::vector<int> reference_predictions = reference.Predict(data.test);
-
-  for (int threads : kThreadCounts) {
-    core::SetNumThreads(threads);
-    classify::MiniRocketClassifier clf(84, 2);
-    clf.Fit(data.train);
+    ASSERT_TRUE(clf.TryFit(data.train).ok());
     EXPECT_EQ(reference_predictions, clf.Predict(data.test))
         << threads << " threads";
   }
@@ -164,13 +145,13 @@ TEST(ParallelDeterminism, DtwKnnPredictionsIdentical) {
   core::SetNumThreads(1);
   classify::KnnClassifier reference(3, classify::NnDistance::kDtw,
                                     /*dtw_window=*/4);
-  reference.Fit(data.train);
+  ASSERT_TRUE(reference.TryFit(data.train).ok());
   const std::vector<int> reference_predictions = reference.Predict(data.test);
 
   for (int threads : kThreadCounts) {
     core::SetNumThreads(threads);
     classify::KnnClassifier clf(3, classify::NnDistance::kDtw, 4);
-    clf.Fit(data.train);
+    ASSERT_TRUE(clf.TryFit(data.train).ok());
     EXPECT_EQ(reference_predictions, clf.Predict(data.test))
         << threads << " threads";
   }
