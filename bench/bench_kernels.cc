@@ -130,7 +130,8 @@ std::vector<Workload> BuildWorkloads() {
                          }});
   }
 
-  // Conv1dSame forward: the InceptionTime inner loop (axpy kernel).
+  // Conv1dSame forward: the InceptionTime inner loop (row_panel_matmul
+  // over zero-padded rows).
   {
     constexpr int kN = 4, kC = 8, kF = 16, kK = 9, kT = 256;
     Rng rng(13);

@@ -116,7 +116,13 @@ core::Status InceptionTimeClassifier::TryFit(const core::Dataset& train) {
 
 core::Status InceptionTimeClassifier::TryFitWithValidation(
     const core::Dataset& train, const core::Dataset& validation) {
-  TSAUG_CHECK(!train.empty() && !validation.empty());
+  // An all-singleton training set splits into an empty validation part:
+  // degenerate data, not programmer error, so it fails typed.
+  if (train.empty() || validation.empty()) {
+    return core::DegenerateInputError(
+        std::string("inception_time: empty ") +
+        (train.empty() ? "training" : "validation") + " set");
+  }
   train_length_ = train.max_length();
   num_classes_ = std::max(train.num_classes(), validation.num_classes());
 

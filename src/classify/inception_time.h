@@ -86,7 +86,8 @@ class InceptionTimeClassifier : public Classifier {
   [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
 
   /// The paper's protocol: train on `train` (possibly augmented), validate
-  /// early stopping on `validation` (original samples only).
+  /// early stopping on `validation` (original samples only). An empty
+  /// `train` or `validation` returns kDegenerateInput.
   [[nodiscard]] core::Status TryFitWithValidation(
       const core::Dataset& train, const core::Dataset& validation);
 

@@ -64,14 +64,6 @@ struct MulOp {  // z = x * y
   }
 };
 
-struct AxpyOp {  // y += a * x  (used via accumulate)
-  double a;
-  template <typename V>
-  V operator()(const V& x) const {
-    return V(a) * x;
-  }
-};
-
 struct ScaleGradOp {  // y += g * s
   double s;
   template <typename V>

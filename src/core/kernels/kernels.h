@@ -37,19 +37,21 @@ struct KernelTable {
   /// c[0..n) += sum over t in [0, k) with a[t*a_stride] != 0 of
   /// a[t*a_stride] * b[t*ldb + j], accumulating per element in ascending-t
   /// order and skipping zero multipliers (the MatMul family's saxpy-style
-  /// panel: C-row += A-row * B).
+  /// panel: C-row += A-row * B). `ldb` may be zero or negative: the panel
+  /// rows b + t*ldb are only read, so Conv1dSame passes its taps as rows
+  /// of one padded input row (ldb = dilation, and -dilation for dX), and a
+  /// one-multiplier call (k = 1) is a plain y += a * x.
   void (*row_panel_matmul)(const double* a, std::int64_t a_stride,
                            std::int64_t k, const double* b, std::int64_t ldb,
                            double* c, std::int64_t n);
 
   /// out[r] = sum over t in [0, n) of a[t] * b[r*ldb + t] for r in
-  /// [0, rows), each sum in ascending-t order (dot-style panel:
-  /// MatVec / MatMulTransposeB).
+  /// [0, rows), each sum from +0.0 in ascending-t order (dot-style panel:
+  /// MatVec / MatMulTransposeB). The rows may overlap (ldb < n): they are
+  /// only read, so Conv1dSame's dW passes its taps as rows of one padded
+  /// input row (ldb = dilation).
   void (*dot_panel)(const double* a, const double* b, std::int64_t ldb,
                     std::int64_t rows, std::int64_t n, double* out);
-
-  /// y[0..n) += a * x[0..n). Per-element, no reduction.
-  void (*axpy)(double a, const double* x, double* y, std::int64_t n);
 
   /// Plane rotation of two rows: for i in [0, n), with x = x[i] and
   /// y = y[i], x[i] = c*x - s*y and y[i] = s*x + c*y (the Jacobi

@@ -60,10 +60,6 @@ void DotPanel(const double* a, const double* b, std::int64_t ldb,
   }
 }
 
-void Axpy(double a, const double* x, double* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
 void RotateRows(double c, double s, double* x, double* y, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     const double xi = x[i];
@@ -198,12 +194,12 @@ void EwAdd3Sigmoid(const double* a, const double* b, const double* bias,
 }
 
 constexpr KernelTable kScalarTable = {
-    RowPanelMatMul, DotPanel,        Axpy,          RotateRows,
-    RocketPpvMax,   SquaredDistRow,  SquaredDiffSum, EwScale,
-    EwAddConst,     EwOneMinus,      EwRelu,        EwMul,
-    EwMulAcc,       EwAddAcc,        EwSubAcc,      EwScaleAcc,
-    EwReluBwdAcc,   EwTanhBwdAcc,    EwSigmoidBwdAcc, EwTanhBwd,
-    EwSigmoidBwd,   EwAdd3Tanh,      EwAdd3Sigmoid,
+    RowPanelMatMul, DotPanel,        RotateRows,    RocketPpvMax,
+    SquaredDistRow, SquaredDiffSum,  EwScale,       EwAddConst,
+    EwOneMinus,     EwRelu,          EwMul,         EwMulAcc,
+    EwAddAcc,       EwSubAcc,        EwScaleAcc,    EwReluBwdAcc,
+    EwTanhBwdAcc,   EwSigmoidBwdAcc, EwTanhBwd,     EwSigmoidBwd,
+    EwAdd3Tanh,     EwAdd3Sigmoid,
 };
 
 }  // namespace

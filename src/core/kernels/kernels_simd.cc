@@ -219,10 +219,6 @@ void DotPanel(const double* a, const double* b, std::int64_t ldb,
   }
 }
 
-void Axpy(double a, const double* x, double* y, std::int64_t n) {
-  Axpy1Row(a, x, y, n);
-}
-
 void RotateRows(double c, double s, double* x, double* y, std::int64_t n) {
   const __m256d cv = _mm256_set1_pd(c);
   const __m256d sv = _mm256_set1_pd(s);
@@ -441,12 +437,12 @@ void EwAdd3Sigmoid(const double* a, const double* b, const double* bias,
 }
 
 constexpr KernelTable kSimdTable = {
-    RowPanelMatMul, DotPanel,        Axpy,          RotateRows,
-    RocketPpvMax,   SquaredDistRow,  SquaredDiffSum, EwScale,
-    EwAddConst,     EwOneMinus,      EwRelu,        EwMul,
-    EwMulAcc,       EwAddAcc,        EwSubAcc,      EwScaleAcc,
-    EwReluBwdAcc,   EwTanhBwdAcc,    EwSigmoidBwdAcc, EwTanhBwd,
-    EwSigmoidBwd,   EwAdd3Tanh,      EwAdd3Sigmoid,
+    RowPanelMatMul, DotPanel,        RotateRows,    RocketPpvMax,
+    SquaredDistRow, SquaredDiffSum,  EwScale,       EwAddConst,
+    EwOneMinus,     EwRelu,          EwMul,         EwMulAcc,
+    EwAddAcc,       EwSubAcc,        EwScaleAcc,    EwReluBwdAcc,
+    EwTanhBwdAcc,   EwSigmoidBwdAcc, EwTanhBwd,     EwSigmoidBwd,
+    EwAdd3Tanh,     EwAdd3Sigmoid,
 };
 
 }  // namespace

@@ -423,6 +423,67 @@ Variable StackTime(const std::vector<Variable>& steps) {
   });
 }
 
+namespace {
+
+// Copies `rows` contiguous rows of length `time` into `dst`, whose rows are
+// `padded` long and start with `offset` zeros. The caller zero-fills `dst`
+// once; later copies overwrite only the interiors, so the pads stay zero.
+void PadRows(const double* src, int rows, int time, int offset, int padded,
+             double* dst) {
+  for (int r = 0; r < rows; ++r) {
+    std::copy(src + static_cast<std::ptrdiff_t>(r) * time,
+              src + static_cast<std::ptrdiff_t>(r + 1) * time,
+              dst + static_cast<std::ptrdiff_t>(r) * padded + offset);
+  }
+}
+
+bool AllFinite(const double* p, int n) {
+  for (int j = 0; j < n; ++j) {
+    if (!std::isfinite(p[j])) return false;
+  }
+  return true;
+}
+
+// The clamped per-tap loop for a row whose taps are not all finite, where a
+// padded `w * 0` would be NaN: dst[t] += w[tap] * src[t + shift] over the
+// in-range t only, with shift = sign * (tap * dilation - pad_left). The
+// forward pass uses sign +1 (src = x), dX uses sign -1 (src = dY).
+void AddTapsClamped(const core::kernels::KernelTable& kt, const double* w,
+                    int k, int dilation, int pad_left, int sign,
+                    const double* src, double* dst, int time) {
+  for (int tap = 0; tap < k; ++tap) {
+    const int shift = sign * (tap * dilation - pad_left);
+    const int t_lo = std::max(0, -shift);
+    const int t_hi = std::min(time, time - shift);
+    if (t_lo >= t_hi) continue;
+    kt.row_panel_matmul(w + tap, 1, 1, src + t_lo + shift, 0, dst + t_lo,
+                        t_hi - t_lo);
+  }
+}
+
+// finite[r] says whether the k taps of weight row r (of `rows`) are finite.
+std::vector<char> FiniteRows(const double* w, int rows, int k) {
+  std::vector<char> finite(static_cast<size_t>(rows));
+  for (int r = 0; r < rows; ++r) {
+    finite[static_cast<size_t>(r)] =
+        AllFinite(w + static_cast<std::ptrdiff_t>(r) * k, k);
+  }
+  return finite;
+}
+
+}  // namespace
+
+// Conv1dSame runs on zero-padded rows: each row gets (k-1)*dilation zeros,
+// pad_left of them in front, so every tap of every output reads in bounds
+// and one kernel call covers all k taps of an (output row, input row) pair.
+// A 1x1 convolution has no padding, so there one call covers every input
+// row. The bits are those of skipping out-of-range taps: each accumulator
+// (a fresh Tensor, Node::EnsureGrad, the dot_panel sum) starts at +0.0 and
+// is only ever added to, so under round-to-nearest it is never -0, and
+// adding a padded w * 0 = +-0 leaves it exact. Only a non-finite factor
+// breaks this (Inf * 0 = NaN): a weight row (forward, dX) or upstream
+// gradient row (dW) that is not all finite takes AddTapsClamped or a
+// clamped dot instead.
 Variable Conv1dSame(const Variable& x, const Variable& w, int dilation) {
   TSAUG_CHECK(x.value().ndim() == 3 && w.value().ndim() == 3);
   TSAUG_CHECK(dilation >= 1);
@@ -433,26 +494,37 @@ Variable Conv1dSame(const Variable& x, const Variable& w, int dilation) {
   const int k = w.value().dim(2);
   TSAUG_CHECK(w.value().dim(1) == c);
 
-  const int pad_left = (k - 1) * dilation / 2;
+  const int span = std::max(0, (k - 1) * dilation);
+  const int pad_left = span / 2;
+  const int padded = time + span;
   TSAUG_TRACE_SCOPE("nn.conv1d");
   Tensor out({n, f, time});
-  // Sample-parallel forward: out[i, :, :] is an independent slice. Each
-  // tap's valid range [t_lo, t_hi) is clamped once (interior/boundary
-  // split per tap), so the inner loop is a pure axpy over contiguous rows.
+  // Sample-parallel forward: out[i, :, :] is an independent slice, and each
+  // output element sums its (ch, tap) terms in ascending order.
   const auto& kt = core::kernels::Active();
+  const double* wd = w.value().data().data();
+  const std::vector<char> finite_w = FiniteRows(wd, f * c, k);
   core::ParallelFor(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
+    std::vector<double> xp(k > 1 ? static_cast<size_t>(c * padded) : 0, 0.0);
     for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
+      if (k == 1) {
+        for (int o = 0; o < f; ++o) {
+          kt.row_panel_matmul(wd + o * c, 1, c, x.value().row3(i, 0), time,
+                              out.row3(i, o), time);
+        }
+        continue;
+      }
+      PadRows(x.value().row3(i, 0), c, time, pad_left, padded, xp.data());
       for (int o = 0; o < f; ++o) {
         for (int ch = 0; ch < c; ++ch) {
-          for (int tap = 0; tap < k; ++tap) {
-            const double wv = w.value().at(o, ch, tap);
-            if (wv == 0.0) continue;
-            const int shift = tap * dilation - pad_left;
-            const int t_lo = std::max(0, -shift);
-            const int t_hi = std::min(time, time - shift);
-            if (t_lo >= t_hi) continue;
-            kt.axpy(wv, x.value().row3(i, ch) + t_lo + shift,
-                    out.row3(i, o) + t_lo, t_hi - t_lo);
+          const int row = o * c + ch;
+          const double* wr = wd + row * k;
+          if (finite_w[static_cast<size_t>(row)]) {
+            kt.row_panel_matmul(wr, 1, k, xp.data() + ch * padded, dilation,
+                                out.row3(i, o), time);
+          } else {
+            AddTapsClamped(kt, wr, k, dilation, pad_left, 1,
+                           x.value().row3(i, ch), out.row3(i, o), time);
           }
         }
       }
@@ -460,48 +532,94 @@ Variable Conv1dSame(const Variable& x, const Variable& w, int dilation) {
   });
   return Variable::FromOp(
       std::move(out), {x.node(), w.node()},
-      [n, c, time, f, k, pad_left, dilation](Node& self) {
+      [n, c, time, f, k, span, pad_left, padded, dilation](Node& self) {
         TSAUG_TRACE_SCOPE("nn.conv1d.bwd");
         Node& px = *self.parents[0];
         Node& pw = *self.parents[1];
         const auto& kb = core::kernels::Active();
+        const double* w_data = pw.value.data().data();
+        const std::vector<char> w_finite = FiniteRows(w_data, f * c, k);
         // Two passes with disjoint gradient ownership: dX slices by
         // sample, dW slices by output filter. Within each owned element
-        // the accumulation order is fixed, so both passes are bitwise
-        // deterministic at any thread count.
+        // the accumulation order is fixed (dX: ascending (o, tap); dW:
+        // ascending i, each term an ascending-t dot from +0.0), so both
+        // passes are bitwise deterministic at any thread count.
         core::ParallelFor(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
+          // dY rows are padded mirror-wise: dx[s] reads dy[s - shift], so
+          // the taps walk the padded row backwards (ldb = -dilation).
+          std::vector<double> gp(k > 1 ? static_cast<size_t>(f * padded) : 0,
+                                 0.0);
           for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
-            for (int o = 0; o < f; ++o) {
+            if (k == 1) {
               for (int ch = 0; ch < c; ++ch) {
-                for (int tap = 0; tap < k; ++tap) {
-                  const int shift = tap * dilation - pad_left;
-                  const int t_lo = std::max(0, -shift);
-                  const int t_hi = std::min(time, time - shift);
-                  const double wv = pw.value.at(o, ch, tap);
-                  if (wv == 0.0 || t_lo >= t_hi) continue;
-                  kb.axpy(wv, self.grad.row3(i, o) + t_lo,
-                          px.grad.row3(i, ch) + t_lo + shift, t_hi - t_lo);
+                kb.row_panel_matmul(w_data + ch, c, f, self.grad.row3(i, 0),
+                                    time, px.grad.row3(i, ch), time);
+              }
+              continue;
+            }
+            PadRows(self.grad.row3(i, 0), f, time, span - pad_left, padded,
+                    gp.data());
+            for (int ch = 0; ch < c; ++ch) {
+              for (int o = 0; o < f; ++o) {
+                const int row = o * c + ch;
+                const double* wr = w_data + row * k;
+                if (w_finite[static_cast<size_t>(row)]) {
+                  kb.row_panel_matmul(wr, 1, k, gp.data() + o * padded + span,
+                                      -dilation, px.grad.row3(i, ch), time);
+                } else {
+                  AddTapsClamped(kb, wr, k, dilation, pad_left, -1,
+                                 self.grad.row3(i, o), px.grad.row3(i, ch),
+                                 time);
                 }
               }
             }
           }
         });
-        // dW pass: each output filter o owns pw.grad[o, :, :]; the sample
-        // sum runs in ascending-i order, so it is deterministic.
+        // Every filter reads every input row, so dW builds the padded input
+        // once and shares it read-only; a 1x1 convolution reads x itself.
+        std::vector<double> xp;
+        const double* xrows = px.value.data().data();
+        int stride = time;
+        if (k > 1) {
+          xp.assign(static_cast<size_t>(n) * static_cast<size_t>(c * padded),
+                    0.0);
+          PadRows(xrows, n * c, time, pad_left, padded, xp.data());
+          xrows = xp.data();
+          stride = padded;
+        }
+        // dW pass: each output filter o owns pw.grad[o, :, :] and adds its
+        // samples in ascending-i order.
         core::ParallelFor(0, f, 1, [&](std::int64_t lo, std::int64_t hi) {
+          std::vector<double> taps(static_cast<size_t>(k == 1 ? c : k));
           for (int o = static_cast<int>(lo); o < static_cast<int>(hi); ++o) {
+            double* gw = pw.grad.row3(o, 0);
             for (int i = 0; i < n; ++i) {
+              const double* g = self.grad.row3(i, o);
+              const double* xi =
+                  xrows + static_cast<std::ptrdiff_t>(i) * c * stride;
+              if (k == 1) {
+                kb.dot_panel(g, xi, stride, c, time, taps.data());
+                kb.ew_add_acc(taps.data(), gw, c);
+                continue;
+              }
+              const bool finite_g = AllFinite(g, time);
               for (int ch = 0; ch < c; ++ch) {
-                for (int tap = 0; tap < k; ++tap) {
-                  const int shift = tap * dilation - pad_left;
-                  const int t_lo = std::max(0, -shift);
-                  const int t_hi = std::min(time, time - shift);
-                  double dw = 0.0;
-                  for (int t = t_lo; t < t_hi; ++t) {
-                    dw += self.grad.at(i, o, t) * px.value.at(i, ch, t + shift);
+                if (finite_g) {
+                  kb.dot_panel(g, xi + ch * stride, dilation, k, time,
+                               taps.data());
+                } else {
+                  for (int tap = 0; tap < k; ++tap) {
+                    const int shift = tap * dilation - pad_left;
+                    const int t_lo = std::max(0, -shift);
+                    const int t_hi = std::min(time, time - shift);
+                    double& dw = taps[static_cast<size_t>(tap)];
+                    dw = 0.0;
+                    if (t_lo >= t_hi) continue;
+                    kb.dot_panel(g + t_lo, px.value.row3(i, ch) + t_lo + shift,
+                                 0, 1, t_hi - t_lo, &dw);
                   }
-                  pw.grad.at(o, ch, tap) += dw;
                 }
+                kb.ew_add_acc(taps.data(), gw + ch * k, k);
               }
             }
           }

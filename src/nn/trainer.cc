@@ -192,9 +192,8 @@ core::StatusOr<TrainResult> TryTrainClassifier(
     core::trace::AddCount("train.epochs");
     core::trace::AddCount("train.batches", batches_run);
 
-    const double val_accuracy =
-        EvaluateAccuracy(net, x_val, y_val, config.batch_size);
-    const double val_loss = EvaluateLoss(net, x_val, y_val, config.batch_size);
+    const auto [val_accuracy, val_loss] =
+        Evaluate(net, x_val, y_val, config.batch_size);
     if (val_accuracy > result.best_val_accuracy) {
       result.best_val_accuracy = val_accuracy;
       result.best_epoch = epoch;
@@ -226,60 +225,31 @@ core::StatusOr<TrainResult> TryTrainClassifier(
   return result;
 }
 
-std::vector<int> PredictLabels(SequenceClassifierNet& net, const Tensor& x,
-                               int batch_size) {
-  net.SetTraining(false);
-  const int n = x.dim(0);
-  std::vector<int> predictions(static_cast<size_t>(n));
-  for (int start = 0; start < n; start += batch_size) {
-    const int end = std::min(n, start + batch_size);
-    std::vector<int> idx(static_cast<size_t>(end - start));
-    for (int i = start; i < end; ++i) idx[static_cast<size_t>(i - start)] = i;
-    Variable input(GatherBatch(x, idx));
-    const Tensor logits = net.Forward(input).value();
-    for (int i = 0; i < logits.dim(0); ++i) {
-      int best = 0;
-      for (int k = 1; k < logits.dim(1); ++k) {
-        if (logits.at(i, k) > logits.at(i, best)) best = k;
-      }
-      predictions[static_cast<size_t>(start + i)] = best;
-    }
-  }
-  return predictions;
-}
-
-double EvaluateLoss(SequenceClassifierNet& net, const Tensor& x,
+Evaluation Evaluate(SequenceClassifierNet& net, const Tensor& x,
                     const std::vector<int>& labels, int batch_size) {
   TSAUG_CHECK(x.dim(0) == static_cast<int>(labels.size()));
-  if (labels.empty()) return 0.0;
+  if (labels.empty()) return {};
   net.SetTraining(false);
   const int n = x.dim(0);
+  int correct = 0;
   double total = 0.0;
   for (int start = 0; start < n; start += batch_size) {
     const int end = std::min(n, start + batch_size);
     std::vector<int> idx(static_cast<size_t>(end - start));
-    std::vector<int> batch_labels(static_cast<size_t>(end - start));
-    for (int i = start; i < end; ++i) {
-      idx[static_cast<size_t>(i - start)] = i;
-      batch_labels[static_cast<size_t>(i - start)] = labels[static_cast<size_t>(i)];
+    for (int i = start; i < end; ++i) idx[static_cast<size_t>(i - start)] = i;
+    const std::vector<int> batch_labels = GatherLabels(labels, idx);
+    const Variable logits = net.Forward(Variable(GatherBatch(x, idx)));
+    for (int i = 0; i < end - start; ++i) {
+      int best = 0;
+      for (int k = 1; k < logits.value().dim(1); ++k) {
+        if (logits.value().at(i, k) > logits.value().at(i, best)) best = k;
+      }
+      if (best == batch_labels[static_cast<size_t>(i)]) ++correct;
     }
-    Variable input(GatherBatch(x, idx));
-    const Variable loss = SoftmaxCrossEntropy(net.Forward(input), batch_labels);
-    total += loss.value().scalar() * (end - start);
+    total += SoftmaxCrossEntropy(logits, batch_labels).value().scalar() *
+             (end - start);
   }
-  return total / n;
-}
-
-double EvaluateAccuracy(SequenceClassifierNet& net, const Tensor& x,
-                        const std::vector<int>& labels, int batch_size) {
-  TSAUG_CHECK(x.dim(0) == static_cast<int>(labels.size()));
-  if (labels.empty()) return 0.0;
-  const std::vector<int> predicted = PredictLabels(net, x, batch_size);
-  int correct = 0;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (predicted[i] == labels[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(labels.size());
+  return {static_cast<double>(correct) / static_cast<double>(n), total / n};
 }
 
 }  // namespace tsaug::nn

@@ -80,17 +80,15 @@ double FindLearningRate(SequenceClassifierNet& net, const Tensor& x,
     const std::vector<int>& y_val, const TrainerConfig& config,
     core::Rng& rng);
 
-/// Argmax predictions of `net` over `x` in eval mode (batched).
-std::vector<int> PredictLabels(SequenceClassifierNet& net, const Tensor& x,
-                               int batch_size = 64);
+/// Validation metrics of `net` on a labelled tensor.
+struct Evaluation {
+  double accuracy = 0.0;  ///< share of rows whose logit argmax is the label
+  double loss = 0.0;      ///< mean softmax cross-entropy
+};
 
-/// Accuracy of `net` on a labelled tensor.
-double EvaluateAccuracy(SequenceClassifierNet& net, const Tensor& x,
-                        const std::vector<int>& labels, int batch_size = 64);
-
-/// Mean cross-entropy of `net` on a labelled tensor (eval mode, no
-/// gradients kept).
-double EvaluateLoss(SequenceClassifierNet& net, const Tensor& x,
+/// Accuracy and mean cross-entropy of `net` over `x` in eval mode, both
+/// from one forward per batch (no gradients kept). An empty set scores 0.
+Evaluation Evaluate(SequenceClassifierNet& net, const Tensor& x,
                     const std::vector<int>& labels, int batch_size = 64);
 
 }  // namespace tsaug::nn

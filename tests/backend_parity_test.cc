@@ -5,8 +5,10 @@
 // hardware where it executes.
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -151,6 +153,58 @@ TEST(BackendParity, RotateRows) {
           << "n=" << n << " x_offset=" << x_offset;
       EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), y.size() * sizeof(double)))
           << "n=" << n << " y_offset=" << y_offset;
+    }
+  }
+}
+
+// The panel kernels read their rows at b + t*ldb. Conv1dSame walks one
+// padded row with ldb = dilation (rows overlap) and, for dX, ldb =
+// -dilation; both tables must agree there for every length and alignment.
+TEST(BackendParity, PanelKernelsOnStridedRows) {
+  SKIP_WITHOUT_SIMD();
+  const kernels::KernelTable& scalar = kernels::ScalarKernels();
+  const kernels::KernelTable& simd = *kernels::SimdKernels();
+  core::Rng rng(19);
+  for (int ldb : {-3, -1, 1, 2}) {
+    for (int panels : {1, 3, 4, 6}) {
+      const int reach = (panels - 1) * std::abs(ldb);
+      for (int n = 0; n <= 17; ++n) {
+        for (int offset = 0; offset < 4; ++offset) {
+          std::vector<double> a(static_cast<size_t>(panels));
+          for (double& v : a) v = rng.Bernoulli(0.25) ? 0.0 : rng.Normal();
+          std::vector<double> b(static_cast<size_t>(reach + n + 4));
+          for (double& v : b) v = rng.Normal();
+          // First panel row: the buffer's far end when ldb walks backwards.
+          const double* b0 = b.data() + offset + (ldb < 0 ? reach : 0);
+          const std::string where = "ldb=" + std::to_string(ldb) +
+                                    " panels=" + std::to_string(panels) +
+                                    " n=" + std::to_string(n) +
+                                    " offset=" + std::to_string(offset);
+
+          std::vector<double> c(static_cast<size_t>(n + 4));
+          for (double& v : c) v = rng.Normal();
+          std::vector<double> cs = c, cv = c;
+          const int c_offset = (offset + 1) % 4;
+          scalar.row_panel_matmul(a.data(), 1, panels, b0, ldb,
+                                  cs.data() + c_offset, n);
+          simd.row_panel_matmul(a.data(), 1, panels, b0, ldb,
+                                cv.data() + c_offset, n);
+          EXPECT_EQ(0, std::memcmp(cs.data(), cv.data(),
+                                   c.size() * sizeof(double)))
+              << "row_panel_matmul " << where;
+
+          std::vector<double> x(static_cast<size_t>(n + 4));
+          for (double& v : x) v = rng.Normal();
+          std::vector<double> outs(static_cast<size_t>(panels));
+          std::vector<double> outv(static_cast<size_t>(panels));
+          scalar.dot_panel(x.data() + c_offset, b0, ldb, panels, n,
+                           outs.data());
+          simd.dot_panel(x.data() + c_offset, b0, ldb, panels, n, outv.data());
+          EXPECT_EQ(0, std::memcmp(outs.data(), outv.data(),
+                                   outs.size() * sizeof(double)))
+              << "dot_panel " << where;
+        }
+      }
     }
   }
 }

@@ -127,6 +127,25 @@ TEST(InceptionTimeClassifier, DivergedTrainingFailsTyped) {
   EXPECT_EQ(status.code(), core::StatusCode::kDiverged) << status.ToString();
 }
 
+TEST(InceptionTimeClassifier, SingletonClassesFailTyped) {
+  // One member per class: the stratified split leaves validation empty,
+  // which is degenerate data and must fail typed, not abort.
+  data::SyntheticSpec spec;
+  spec.num_classes = 3;
+  spec.train_counts = {1, 1, 1};
+  spec.test_counts = {1, 1, 1};
+  spec.num_channels = 2;
+  spec.length = 16;
+  spec.seed = 14;
+  const data::TrainTest data = data::MakeSynthetic(spec);
+  InceptionTimeClassifier clf(TinyConfig(), 3);
+  const core::Status status = clf.TryFit(data.train);
+  EXPECT_EQ(status.code(), core::StatusCode::kDegenerateInput)
+      << status.ToString();
+  EXPECT_EQ(clf.TryFitWithValidation(core::Dataset(3), data.train).code(),
+            core::StatusCode::kDegenerateInput);
+}
+
 TEST(Trainer, EarlyStoppingRestoresBestState) {
   // The trainer must never return with worse-than-best validation weights.
   data::SyntheticSpec spec;
@@ -148,7 +167,7 @@ TEST(Trainer, EarlyStoppingRestoresBestState) {
       net, x_train, data.train.labels(), x_val, data.test.labels(),
       config.trainer, rng).value();
   const double final_accuracy =
-      nn::EvaluateAccuracy(net, x_val, data.test.labels());
+      nn::Evaluate(net, x_val, data.test.labels()).accuracy;
   EXPECT_NEAR(final_accuracy, result.best_val_accuracy, 1e-12);
 }
 

@@ -104,8 +104,9 @@ TEST(BackendTest, ConcurrentSetAndReadStaysCoherent) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&start, &bad] {
       while (!start.load(std::memory_order_acquire)) {}
-      double x[4] = {1.0, 2.0, 3.0, 4.0};
+      const double x[4] = {1.0, 2.0, 3.0, 4.0};
       const double y[4] = {5.0, 6.0, 7.0, 8.0};
+      double dot = 0.0;
       for (int i = 0; i < kIters; ++i) {
         const Backend b = ActiveBackend();
         if (b != Backend::kScalar && b != Backend::kSimd) {
@@ -113,7 +114,8 @@ TEST(BackendTest, ConcurrentSetAndReadStaysCoherent) {
         }
         const KernelTable& kt = Active();
         // Exercise a real entry through whichever table was observed.
-        kt.axpy(0.0, y, x, 4);
+        kt.dot_panel(x, y, 0, 1, 4, &dot);
+        if (dot != 70.0) bad.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }

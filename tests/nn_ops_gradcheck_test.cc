@@ -1,11 +1,17 @@
 // Numerical gradient checks for every autodiff op: the analytic backward of
 // each op is compared against central differences on random inputs. These
 // are the load-bearing tests for InceptionTime and TimeGAN correctness.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/kernels/kernels.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "nn/ops.h"
 
@@ -151,6 +157,176 @@ INSTANTIATE_TEST_SUITE_P(Kernels, Conv1dGradCheck,
                          ::testing::Values(std::tuple{1, 1}, std::tuple{3, 1},
                                            std::tuple{4, 1}, std::tuple{5, 2},
                                            std::tuple{8, 1}, std::tuple{9, 3}));
+
+// Conv1dSame bit for bit against the clamped per-tap loops it ran before it
+// moved onto zero-padded rows. The reference skips zero weights and
+// out-of-range taps; the padded rows add w * 0 = +-0 instead, which must
+// leave every accumulator's bits unchanged, and non-finite weights and
+// upstream gradients must take the clamped path.
+struct ConvResult {
+  Tensor out, dx, dw;
+};
+
+ConvResult ReferenceConv1dSame(const Tensor& x, const Tensor& w, int dilation,
+                               const Tensor& dy, const Tensor& dx_prior) {
+  const int n = x.dim(0), c = x.dim(1), time = x.dim(2);
+  const int f = w.dim(0), k = w.dim(2);
+  const int pad_left = (k - 1) * dilation / 2;
+  ConvResult r{Tensor({n, f, time}), dx_prior, Tensor(w.shape())};
+  for (int i = 0; i < n; ++i) {
+    for (int o = 0; o < f; ++o) {
+      for (int ch = 0; ch < c; ++ch) {
+        for (int tap = 0; tap < k; ++tap) {
+          const double wv = w.at(o, ch, tap);
+          if (wv == 0.0) continue;
+          const int shift = tap * dilation - pad_left;
+          const int t_lo = std::max(0, -shift);
+          const int t_hi = std::min(time, time - shift);
+          for (int t = t_lo; t < t_hi; ++t) {
+            r.out.at(i, o, t) += wv * x.at(i, ch, t + shift);
+          }
+        }
+      }
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int o = 0; o < f; ++o) {
+      for (int ch = 0; ch < c; ++ch) {
+        for (int tap = 0; tap < k; ++tap) {
+          const int shift = tap * dilation - pad_left;
+          const int t_lo = std::max(0, -shift);
+          const int t_hi = std::min(time, time - shift);
+          const double wv = w.at(o, ch, tap);
+          if (wv == 0.0 || t_lo >= t_hi) continue;
+          for (int t = t_lo; t < t_hi; ++t) {
+            r.dx.at(i, ch, t + shift) += wv * dy.at(i, o, t);
+          }
+        }
+      }
+    }
+  }
+  for (int o = 0; o < f; ++o) {
+    for (int i = 0; i < n; ++i) {
+      for (int ch = 0; ch < c; ++ch) {
+        for (int tap = 0; tap < k; ++tap) {
+          const int shift = tap * dilation - pad_left;
+          const int t_lo = std::max(0, -shift);
+          const int t_hi = std::min(time, time - shift);
+          double dw = 0.0;
+          for (int t = t_lo; t < t_hi; ++t) {
+            dw += dy.at(i, o, t) * x.at(i, ch, t + shift);
+          }
+          r.dw.at(o, ch, tap) += dw;
+        }
+      }
+    }
+  }
+  return r;
+}
+
+// Runs Conv1dSame's forward and its backward closure with upstream
+// gradient `dy`, with dX landing on `dx_prior` as when x feeds two ops.
+ConvResult RunConv1dSame(const Tensor& x, const Tensor& w, int dilation,
+                         const Tensor& dy, const Tensor& dx_prior) {
+  Variable vx(x, /*requires_grad=*/true);
+  Variable vw(w, /*requires_grad=*/true);
+  Variable y = Conv1dSame(vx, vw, dilation);
+  Node& node = *y.node();
+  node.grad = dy;
+  vx.node()->grad = dx_prior;
+  vw.node()->EnsureGrad();
+  node.backward_fn(node);
+  return {y.value(), vx.grad(), vw.grad()};
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(double)) == 0;
+}
+
+enum class Poison { kNone, kInfWeight, kNanWeight, kInfGrad, kNanGrad };
+
+// One oracle case: random data with a quarter of the weights zero and at
+// most one non-finite value, compared under every backend at 1/2/8 threads.
+void ExpectConvMatchesReference(int dilation, int k, int channels,
+                                int filters, int time, Poison poison) {
+  constexpr int kN = 3;
+  core::Rng rng(static_cast<std::uint64_t>(10000 * dilation + 1000 * k +
+                                           100 * channels + 10 * filters +
+                                           time));
+  Tensor x = RandomTensor({kN, channels, time}, rng);
+  Tensor w = RandomTensor({filters, channels, k}, rng);
+  for (double& v : w.data()) {
+    if (rng.Bernoulli(0.25)) v = 0.0;
+  }
+  Tensor dy = RandomTensor({kN, filters, time}, rng);
+  const Tensor dx_prior = RandomTensor({kN, channels, time}, rng);
+  const auto wi = static_cast<size_t>(rng.Index(static_cast<int>(w.numel())));
+  const auto gi = static_cast<size_t>(rng.Index(static_cast<int>(dy.numel())));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  switch (poison) {
+    case Poison::kNone: break;
+    case Poison::kInfWeight: w[wi] = -kInf; break;
+    case Poison::kNanWeight: w[wi] = kNan; break;
+    case Poison::kInfGrad: dy[gi] = kInf; break;
+    case Poison::kNanGrad: dy[gi] = kNan; break;
+  }
+  const ConvResult want = ReferenceConv1dSame(x, w, dilation, dy, dx_prior);
+
+  std::vector<core::kernels::Backend> backends = {
+      core::kernels::Backend::kScalar};
+  if (core::kernels::SimdAvailable()) {
+    backends.push_back(core::kernels::Backend::kSimd);
+  }
+  for (core::kernels::Backend backend : backends) {
+    core::kernels::SetBackend(backend);
+    for (int threads : {1, 2, 8}) {
+      core::SetNumThreads(threads);
+      const ConvResult got = RunConv1dSame(x, w, dilation, dy, dx_prior);
+      const std::string where =
+          std::string(core::kernels::BackendName(backend)) +
+          " threads=" + std::to_string(threads) +
+          " dilation=" + std::to_string(dilation) + " k=" +
+          std::to_string(k) + " c=" + std::to_string(channels) + " f=" +
+          std::to_string(filters) + " time=" + std::to_string(time) +
+          " poison=" + std::to_string(static_cast<int>(poison));
+      EXPECT_TRUE(SameBits(want.out, got.out)) << "out " << where;
+      EXPECT_TRUE(SameBits(want.dx, got.dx)) << "dx " << where;
+      EXPECT_TRUE(SameBits(want.dw, got.dw)) << "dw " << where;
+    }
+  }
+}
+
+TEST(Conv1dSameOracle, BitwiseEqualToClampedLoops) {
+  const core::kernels::Backend saved_backend = core::kernels::ActiveBackend();
+  const int saved_threads = core::GetNumThreads();
+  // k * dilation runs past the series for most short lengths, and k = 1
+  // is the unpadded 1x1 path.
+  for (int dilation : {1, 2, 4}) {
+    for (int k : {1, 2, 4, 5, 16}) {
+      for (int channels : {1, 4}) {
+        for (int filters : {1, 4}) {
+          for (int time = 1; time <= 40; ++time) {
+            ExpectConvMatchesReference(dilation, k, channels, filters, time,
+                                       Poison::kNone);
+          }
+          // The non-finite cases run on a spread of lengths.
+          for (int time : {1, 2, 5, 17, 40}) {
+            for (Poison poison : {Poison::kInfWeight, Poison::kNanWeight,
+                                  Poison::kInfGrad, Poison::kNanGrad}) {
+              ExpectConvMatchesReference(dilation, k, channels, filters, time,
+                                         poison);
+            }
+          }
+        }
+      }
+    }
+  }
+  core::kernels::SetBackend(saved_backend);
+  core::SetNumThreads(saved_threads);
+}
 
 TEST(GradCheck, AddChannelBias) {
   core::Rng rng(9);

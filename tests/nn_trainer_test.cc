@@ -96,43 +96,66 @@ TEST(TrainClassifier, EarlyStoppingLimitsEpochs) {
   EXPECT_LT(result.epochs_run, 200);
 }
 
-TEST(EvaluateLoss, MatchesDirectCrossEntropy) {
+// Argmax predictions and mean cross-entropy of one full-batch forward.
+void DirectEvaluation(SequenceClassifierNet& net, const Tensor& x,
+                      const std::vector<int>& y, double* accuracy,
+                      double* loss) {
+  std::vector<int> all(y.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  const Variable logits = net.Forward(Variable(GatherBatch(x, all)));
+  int correct = 0;
+  for (int i = 0; i < logits.value().dim(0); ++i) {
+    int best = 0;
+    for (int k = 1; k < logits.value().dim(1); ++k) {
+      if (logits.value().at(i, k) > logits.value().at(i, best)) best = k;
+    }
+    if (best == y[static_cast<size_t>(i)]) ++correct;
+  }
+  *accuracy = static_cast<double>(correct) / static_cast<double>(y.size());
+  *loss = SoftmaxCrossEntropy(logits, y).value().scalar();
+}
+
+TEST(Evaluate, MatchesDirectForward) {
   core::Rng rng(8);
   TinyNet net(1, 2, rng);
   Tensor x;
   std::vector<int> y;
   MakeData(12, &x, &y, 9);
-  const double loss = EvaluateLoss(net, x, y, /*batch_size=*/5);
-  // Compare against one full-batch forward.
-  std::vector<int> all(12);
-  for (int i = 0; i < 12; ++i) all[static_cast<size_t>(i)] = i;
-  const Variable logits = net.Forward(Variable(GatherBatch(x, all)));
-  const double direct = SoftmaxCrossEntropy(logits, y).value().scalar();
-  EXPECT_NEAR(loss, direct, 1e-9);
+  const Evaluation eval = Evaluate(net, x, y, /*batch_size=*/5);
+  double accuracy = 0.0;
+  double loss = 0.0;
+  DirectEvaluation(net, x, y, &accuracy, &loss);
+  EXPECT_EQ(eval.accuracy, accuracy);
+  EXPECT_NEAR(eval.loss, loss, 1e-9);
+  EXPECT_GE(eval.accuracy, 0.0);
+  EXPECT_LE(eval.accuracy, 1.0);
 }
 
-TEST(EvaluateAccuracy, PerfectAndChanceBounds) {
-  core::Rng rng(10);
-  TinyNet net(1, 2, rng);
-  Tensor x;
-  std::vector<int> y;
-  MakeData(10, &x, &y, 11);
-  const double accuracy = EvaluateAccuracy(net, x, y);
-  EXPECT_GE(accuracy, 0.0);
-  EXPECT_LE(accuracy, 1.0);
-}
-
-TEST(PredictLabels, BatchBoundaryExact) {
-  // n not divisible by batch size: every instance still predicted.
+TEST(Evaluate, BatchBoundaryExact) {
+  // n not divisible by the batch size: every instance is still scored
+  // once, and the mean weighs the short last batch by its size.
   core::Rng rng(12);
-  TinyNet net(1, 3, rng);
-  Tensor x({7, 1, 8}, 0.5);
-  const std::vector<int> predictions = PredictLabels(net, x, /*batch_size=*/3);
-  EXPECT_EQ(predictions.size(), 7u);
-  for (int p : predictions) {
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, 3);
-  }
+  TinyNet net(3, 3, rng);
+  Tensor x3({7, 3, 8});
+  for (double& v : x3.data()) v = rng.Normal();
+  const std::vector<int> labels = {0, 1, 2, 0, 1, 2, 0};
+  const Evaluation batched = Evaluate(net, x3, labels, /*batch_size=*/3);
+  const Evaluation whole = Evaluate(net, x3, labels, /*batch_size=*/7);
+  double accuracy = 0.0;
+  double loss = 0.0;
+  DirectEvaluation(net, x3, labels, &accuracy, &loss);
+  EXPECT_EQ(batched.accuracy, accuracy);
+  EXPECT_EQ(whole.accuracy, accuracy);
+  EXPECT_NEAR(batched.loss, loss, 1e-12);
+  EXPECT_NEAR(whole.loss, loss, 1e-12);
+}
+
+TEST(Evaluate, EmptySetScoresZero) {
+  core::Rng rng(15);
+  TinyNet net(1, 2, rng);
+  const Evaluation eval = Evaluate(net, Tensor({0, 1, 8}), {});
+  EXPECT_EQ(eval.accuracy, 0.0);
+  EXPECT_EQ(eval.loss, 0.0);
 }
 
 }  // namespace

@@ -233,7 +233,7 @@ TEST(TrainerTracing, EarlyStoppingPatienceRestoresBestWeights) {
   EXPECT_EQ(trace::CounterValue("train.epochs"),
             static_cast<std::int64_t>(result.epochs_run));
   // Best weights restored: re-evaluating reproduces the reported best.
-  EXPECT_DOUBLE_EQ(EvaluateAccuracy(net, x_val, y_val),
+  EXPECT_DOUBLE_EQ(Evaluate(net, x_val, y_val).accuracy,
                    result.best_val_accuracy);
 }
 

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "augment/oversample.h"
 #include "augment/timegan.h"
 #include "augment/vae.h"
+#include "classify/inception_time.h"
 #include "classify/nearest_neighbor.h"
 #include "classify/rocket.h"
 #include "core/faultpoint.h"
@@ -107,6 +109,50 @@ TEST(ParallelDeterminism, RocketTransformAndPredictIdentical) {
     ASSERT_TRUE(clf.TryFit(data.train).ok());
     EXPECT_EQ(reference_predictions, clf.Predict(data.test))
         << threads << " threads";
+  }
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ParallelDeterminism, InceptionTimeFitIdentical) {
+  ThreadCountGuard guard;
+  const data::TrainTest data = SmallData(4);
+  // The reduced-scale grid's InceptionTime, for three epochs.
+  classify::InceptionTimeConfig config;
+  config.num_filters = 4;
+  config.depth = 3;
+  config.kernel_sizes = {4, 8, 16};
+  config.bottleneck_channels = 4;
+  config.ensemble_size = 1;
+  config.trainer.learning_rate = 2e-3;
+  config.trainer.batch_size = 16;
+  config.trainer.max_epochs = 3;
+  config.trainer.early_stopping_patience = 3;
+
+  auto fit = [&](int threads) {
+    core::SetNumThreads(threads);
+    classify::InceptionTimeClassifier clf(config, 21);
+    EXPECT_TRUE(clf.TryFit(data.train).ok());
+    return std::pair(clf.train_results(), clf.Predict(data.test));
+  };
+  const auto [reference, reference_predictions] = fit(1);
+  ASSERT_EQ(reference.size(), 1u);
+  ASSERT_EQ(reference[0].epoch_train_losses.size(), 3u);
+  for (int threads : kThreadCounts) {
+    const auto [results, predictions] = fit(threads);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(SameBits(reference[0].epoch_train_losses,
+                         results[0].epoch_train_losses))
+        << threads << " threads";
+    EXPECT_EQ(reference[0].best_epoch, results[0].best_epoch)
+        << threads << " threads";
+    EXPECT_TRUE(SameBits({reference[0].best_val_accuracy},
+                         {results[0].best_val_accuracy}))
+        << threads << " threads";
+    EXPECT_EQ(reference_predictions, predictions) << threads << " threads";
   }
 }
 
