@@ -9,7 +9,7 @@ namespace tsaug::core::kernels {
 ///
 /// This is the op/OpImpl seam (in the cavs style): each hot-loop
 /// *definition* lives at its call site (ROCKET transform, the MatMul
-/// family, the Jacobi eigensolver, Conv1dSame, the distance kernels, the
+/// family, the ridge eigensolver, Conv1dSame, the distance kernels, the
 /// autograd elementwise chains) and names one entry below; the
 /// *implementations* live in kernels_scalar.cc (portable reference) and
 /// kernels_simd.cc (AVX2), selected once per process via
@@ -54,9 +54,9 @@ struct KernelTable {
                     std::int64_t rows, std::int64_t n, double* out);
 
   /// Plane rotation of two rows: for i in [0, n), with x = x[i] and
-  /// y = y[i], x[i] = c*x - s*y and y[i] = s*x + c*y (the Jacobi
-  /// eigensolver's row and eigenvector updates). Per-element, no
-  /// reduction.
+  /// y = y[i], x[i] = c*x - s*y and y[i] = s*x + c*y (the eigensolver's
+  /// QL update of two eigenvector columns, stored as rows of V^T).
+  /// Per-element, no reduction.
   void (*rotate_rows)(double c, double s, double* x, double* y,
                       std::int64_t n);
 

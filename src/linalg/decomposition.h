@@ -26,11 +26,18 @@ Matrix CholeskySolve(Matrix a, const Matrix& b);
                                                 const Matrix& b,
                                                 double initial_jitter = 1e-10);
 
-/// Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
-/// On return `eigenvalues` is ascending and column j of `eigenvectors` is
-/// the unit eigenvector of eigenvalues[j], i.e. A = V diag(w) V^T.
-void SymmetricEigen(const Matrix& a, std::vector<double>* eigenvalues,
-                    Matrix* eigenvectors, int max_sweeps = 64);
+/// Eigendecomposition of a symmetric matrix, read from its lower
+/// triangle: Householder reduction to tridiagonal form, then implicit-shift
+/// QL with the eigenvectors accumulated (EISPACK tred2/tql2, the method of
+/// LAPACK's dsteqr). On success `eigenvalues` is ascending and column j of
+/// `eigenvectors` is the unit eigenvector of eigenvalues[j], i.e.
+/// A = V diag(w) V^T. The operations run in one fixed serial order, so the
+/// bits are the same on both kernel backends and at any thread count.
+/// A non-finite entry, or an eigenvalue still unconverged after 30 QL
+/// iterations, returns kDiverged and leaves both outputs empty.
+[[nodiscard]] core::Status SymmetricEigen(const Matrix& a,
+                                          std::vector<double>* eigenvalues,
+                                          Matrix* eigenvectors);
 
 /// Sample covariance of the rows of `x` (denominator n, matching Eq. (4)).
 Matrix SampleCovariance(const Matrix& x);

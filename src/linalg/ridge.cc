@@ -89,6 +89,10 @@ Matrix EncodeLabels(const std::vector<int>& labels, int num_classes) {
 
 namespace {
 
+/// Relative gap between the best and second-best LOO error below which a
+/// fit counts as a near-tie ("ridge.loocv_near_tie").
+constexpr double kNearTie = 1e-9;
+
 /// Index of the eigenvector of Q closest (in angle) to the all-ones
 /// direction. Column-centring puts the ones vector in the Gram matrix's
 /// null space; that direction corresponds to the unpenalised intercept and
@@ -189,8 +193,8 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
 
   best_alpha_ = alphas_[alphas_.size() / 2];
   // Recovery policy: LOOCV alpha selection is an optimisation, not a
-  // requirement — a non-finite eigendecomposition of a degenerate Gram
-  // matrix (or an injected "ridge.loocv" fault) falls back to the
+  // requirement — an eigendecomposition that fails (kDiverged on a
+  // non-finite Gram) or an injected "ridge.loocv" fault falls back to the
   // default mid-grid alpha rather than failing the fit.
   const bool loocv_wanted = x.rows() >= 3 && alphas_.size() > 1;
   bool loocv_usable = loocv_wanted && !core::fault::ShouldFail("ridge.loocv");
@@ -201,25 +205,31 @@ core::Status RidgeClassifierCV::TryFit(const Matrix& x,
   if (loocv_usable) {
     std::vector<double> eigenvalues;
     Matrix q;
-    SymmetricEigen(problem.gram, &eigenvalues, &q);
-    // Clamp tiny negative eigenvalues from roundoff.
-    for (double& v : eigenvalues) v = std::max(v, 0.0);
-    for (double v : eigenvalues) {
-      if (!std::isfinite(v)) loocv_usable = false;
-    }
+    loocv_usable = SymmetricEigen(problem.gram, &eigenvalues, &q).ok();
     if (loocv_usable) {
+      // Clamp tiny negative eigenvalues from roundoff.
+      for (double& v : eigenvalues) v = std::max(v, 0.0);
       const Matrix qty = MatMulTransposeA(q, problem.yc);
       const int intercept_dim = InterceptDimension(q, eigenvalues);
 
       double best_error = std::numeric_limits<double>::infinity();
+      double second_error = std::numeric_limits<double>::infinity();
       for (double alpha : alphas_) {
         const double error =
             LooError(q, eigenvalues, qty, alpha, intercept_dim);
         loo_errors_.push_back(error);
         if (error < best_error) {
+          second_error = best_error;
           best_error = error;
           best_alpha_ = alpha;
+        } else if (error < second_error) {
+          second_error = error;
         }
+      }
+      // A runner-up this close could swap places under a roundoff-level
+      // change to the eigendecomposition, flipping best_alpha.
+      if (second_error - best_error <= kNearTie * best_error) {
+        core::trace::AddCount("ridge.loocv_near_tie");
       }
     }
   }

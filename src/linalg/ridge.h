@@ -76,8 +76,9 @@ class RidgeClassifierCV {
   /// Fits on feature rows `x` with integer labels in [0, num_classes).
   ///
   /// Recovery policies (both observable through the accessors below):
-  ///  - a non-finite LOOCV eigendecomposition (or an injected "ridge.loocv"
-  ///    fault) degrades to the default mid-grid alpha instead of failing;
+  ///  - an eigendecomposition that fails (kDiverged, e.g. on non-finite
+  ///    features) or an injected "ridge.loocv" fault degrades to the
+  ///    default mid-grid alpha instead of failing;
   ///  - a singular final solve escalates alpha tenfold up to a bounded
   ///    number of retries before reporting kSingular.
   [[nodiscard]] core::Status TryFit(const Matrix& x, const std::vector<int>& labels,

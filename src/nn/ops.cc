@@ -543,38 +543,42 @@ Variable Conv1dSame(const Variable& x, const Variable& w, int dilation) {
         // sample, dW slices by output filter. Within each owned element
         // the accumulation order is fixed (dX: ascending (o, tap); dW:
         // ascending i, each term an ascending-t dot from +0.0), so both
-        // passes are bitwise deterministic at any thread count.
-        core::ParallelFor(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
-          // dY rows are padded mirror-wise: dx[s] reads dy[s - shift], so
-          // the taps walk the padded row backwards (ldb = -dilation).
-          std::vector<double> gp(k > 1 ? static_cast<size_t>(f * padded) : 0,
-                                 0.0);
-          for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
-            if (k == 1) {
-              for (int ch = 0; ch < c; ++ch) {
-                kb.row_panel_matmul(w_data + ch, c, f, self.grad.row3(i, 0),
-                                    time, px.grad.row3(i, ch), time);
+        // passes are bitwise deterministic at any thread count. An input that
+        // needs no gradient (the network's input batch, a pooled input)
+        // gets none: its grad stays the zeros EnsureGrad made.
+        if (px.requires_grad) {
+          core::ParallelFor(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
+            // dY rows are padded mirror-wise: dx[s] reads dy[s - shift], so
+            // the taps walk the padded row backwards (ldb = -dilation).
+            std::vector<double> gp(k > 1 ? static_cast<size_t>(f * padded) : 0,
+                                   0.0);
+            for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
+              if (k == 1) {
+                for (int ch = 0; ch < c; ++ch) {
+                  kb.row_panel_matmul(w_data + ch, c, f, self.grad.row3(i, 0),
+                                      time, px.grad.row3(i, ch), time);
+                }
+                continue;
               }
-              continue;
-            }
-            PadRows(self.grad.row3(i, 0), f, time, span - pad_left, padded,
-                    gp.data());
-            for (int ch = 0; ch < c; ++ch) {
-              for (int o = 0; o < f; ++o) {
-                const int row = o * c + ch;
-                const double* wr = w_data + row * k;
-                if (w_finite[static_cast<size_t>(row)]) {
-                  kb.row_panel_matmul(wr, 1, k, gp.data() + o * padded + span,
-                                      -dilation, px.grad.row3(i, ch), time);
-                } else {
-                  AddTapsClamped(kb, wr, k, dilation, pad_left, -1,
-                                 self.grad.row3(i, o), px.grad.row3(i, ch),
-                                 time);
+              PadRows(self.grad.row3(i, 0), f, time, span - pad_left, padded,
+                      gp.data());
+              for (int ch = 0; ch < c; ++ch) {
+                for (int o = 0; o < f; ++o) {
+                  const int row = o * c + ch;
+                  const double* wr = w_data + row * k;
+                  if (w_finite[static_cast<size_t>(row)]) {
+                    kb.row_panel_matmul(wr, 1, k, gp.data() + o * padded + span,
+                                        -dilation, px.grad.row3(i, ch), time);
+                  } else {
+                    AddTapsClamped(kb, wr, k, dilation, pad_left, -1,
+                                   self.grad.row3(i, o), px.grad.row3(i, ch),
+                                   time);
+                  }
                 }
               }
             }
-          }
-        });
+          });
+        }
         // Every filter reads every input row, so dW builds the padded input
         // once and shares it read-only; a 1x1 convolution reads x itself.
         std::vector<double> xp;

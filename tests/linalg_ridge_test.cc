@@ -1,12 +1,15 @@
 #include "linalg/ridge.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/faultpoint.h"
 #include "core/rng.h"
+#include "core/trace.h"
 
 namespace tsaug::linalg {
 namespace {
@@ -304,6 +307,96 @@ TEST(RidgeClassifierCV, EscalatedFinalModelBitIdenticalToRegression) {
   EXPECT_EQ(clf.solve_retries(), 1);
   EXPECT_EQ(clf.best_alpha(), unfaulted.best_alpha() * 10.0);
   ExpectFinalModelIsPlainRegression(clf, x, labels, 2);
+}
+
+double MidGridAlpha() {
+  // The default grid's middle point, alphas[10 / 2].
+  return std::pow(10.0, -3.0 + 6.0 * 5 / 9.0);
+}
+
+/// Enables tracing with fresh counters for one test and restores the
+/// previous toggle afterwards.
+class CountersOn {
+ public:
+  CountersOn() : was_enabled_(core::trace::Enabled()) {
+    core::trace::Reset();
+    core::trace::Enable();
+  }
+  ~CountersOn() {
+    if (!was_enabled_) core::trace::Disable();
+    core::trace::Reset();
+  }
+
+ private:
+  bool was_enabled_;
+};
+
+TEST(RidgeClassifierCV, InjectedLoocvFaultFallsBackToMidGridAlpha) {
+  core::Rng rng(26);
+  std::vector<int> labels;
+  for (int i = 0; i < 12; ++i) labels.push_back(i % 2);
+  Matrix x(12, 30);
+  for (double& v : x.data()) v = rng.Normal();
+  CountersOn counters;
+  core::fault::SetSpec("ridge.loocv:1");
+  RidgeClassifierCV clf;
+  const core::Status status = clf.TryFit(x, labels, 2);
+  core::fault::Clear();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(clf.loocv_fell_back());
+  EXPECT_TRUE(clf.loo_errors().empty());
+  EXPECT_EQ(clf.best_alpha(), MidGridAlpha());
+  EXPECT_EQ(core::trace::CounterValue("ridge.loocv_fallback"), 1);
+  ExpectFinalModelIsPlainRegression(clf, x, labels, 2);
+}
+
+TEST(RidgeClassifierCV, NonFiniteFeaturesFallBackAndFailTyped) {
+  // A non-finite feature makes the Gram non-finite: the eigensolver
+  // returns kDiverged, LOOCV falls back to the mid-grid alpha, and the
+  // final solve cannot factorise at any escalated alpha.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    for (const int cols : {5, 40}) {  // primal and dual final solve
+      SCOPED_TRACE(std::to_string(bad) + " cols=" + std::to_string(cols));
+      core::Rng rng(27);
+      std::vector<int> labels;
+      for (int i = 0; i < 14; ++i) labels.push_back(i % 2);
+      Matrix x(14, cols);
+      for (double& v : x.data()) v = rng.Normal();
+      x(3, 2) = bad;
+      RidgeClassifierCV clf;
+      const core::Status status = clf.TryFit(x, labels, 2);
+      EXPECT_EQ(status.code(), core::StatusCode::kSingular)
+          << status.ToString();
+      EXPECT_TRUE(clf.loocv_fell_back());
+      EXPECT_TRUE(clf.loo_errors().empty());
+      EXPECT_EQ(clf.best_alpha(), MidGridAlpha());
+    }
+  }
+}
+
+TEST(RidgeClassifierCV, NearTieBetweenBestAndRunnerUpIsCounted) {
+  core::Rng rng(28);
+  std::vector<int> labels;
+  Matrix x(16, 24);
+  for (int i = 0; i < x.rows(); ++i) {
+    labels.push_back(i % 2);
+    for (int j = 0; j < x.cols(); ++j) x(i, j) = rng.Normal() + 0.6 * (i % 2);
+  }
+  const auto near_ties = [&](std::vector<double> alphas) {
+    CountersOn counters;
+    RidgeClassifierCV clf(std::move(alphas));
+    EXPECT_TRUE(clf.TryFit(x, labels, 2).ok());
+    EXPECT_FALSE(clf.loocv_fell_back());
+    return core::trace::CounterValue("ridge.loocv_near_tie");
+  };
+  // Alphas 1e-12 apart give LOO errors far less than 1e-9 apart, in
+  // either order; an exact tie counts too, and a wide gap does not.
+  EXPECT_EQ(near_ties({1.0, 1.0 + 1e-12}), 1);
+  EXPECT_EQ(near_ties({1.0 + 1e-12, 1.0}), 1);
+  EXPECT_EQ(near_ties({0.3, 0.3}), 1);
+  EXPECT_EQ(near_ties({1e-3, 1e3}), 0);
 }
 
 }  // namespace

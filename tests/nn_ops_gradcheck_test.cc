@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -320,6 +321,60 @@ TEST(Conv1dSameOracle, BitwiseEqualToClampedLoops) {
                                          poison);
             }
           }
+        }
+      }
+    }
+  }
+  core::kernels::SetBackend(saved_backend);
+  core::SetNumThreads(saved_threads);
+}
+
+// Two stacked convolutions on an input that needs no gradient, as in
+// InceptionTime's first module: the first one's dX pass is skipped, so the
+// input's grad stays all zero, while both weight gradients keep the bits
+// they have when the input is trainable, on every backend and thread count.
+TEST(Conv1dSameOracle, FrozenInputSkipsDxAndKeepsWeightGradients) {
+  const core::kernels::Backend saved_backend = core::kernels::ActiveBackend();
+  const int saved_threads = core::GetNumThreads();
+  std::vector<core::kernels::Backend> backends = {
+      core::kernels::Backend::kScalar};
+  if (core::kernels::SimdAvailable()) {
+    backends.push_back(core::kernels::Backend::kSimd);
+  }
+  for (int k : {1, 5}) {
+    for (int channels : {1, 3}) {
+      core::Rng rng(static_cast<std::uint64_t>(70 + 10 * k + channels));
+      const Tensor x = RandomTensor({3, channels, 17}, rng);
+      const Tensor w1 = RandomTensor({4, channels, k}, rng);
+      const Tensor w2 = RandomTensor({2, 4, k}, rng);
+      struct Grads {
+        Tensor x, w1, w2;
+      };
+      const auto run = [&](bool x_trainable) {
+        Variable vx(x, x_trainable);
+        Variable v1(w1, /*requires_grad=*/true);
+        Variable v2(w2, /*requires_grad=*/true);
+        Mean(Conv1dSame(Conv1dSame(vx, v1, 2), v2)).Backward();
+        return Grads{vx.grad(), v1.grad(), v2.grad()};
+      };
+      std::optional<Grads> first;
+      for (core::kernels::Backend backend : backends) {
+        core::kernels::SetBackend(backend);
+        for (int threads : {1, 2, 8}) {
+          core::SetNumThreads(threads);
+          SCOPED_TRACE(std::string(core::kernels::BackendName(backend)) +
+                       " threads=" + std::to_string(threads) +
+                       " k=" + std::to_string(k) +
+                       " c=" + std::to_string(channels));
+          const Grads trainable = run(true);
+          const Grads frozen = run(false);
+          EXPECT_TRUE(SameBits(trainable.w1, frozen.w1));
+          EXPECT_TRUE(SameBits(trainable.w2, frozen.w2));
+          EXPECT_TRUE(SameBits(frozen.x, Tensor(x.shape())));
+          EXPECT_FALSE(SameBits(trainable.x, Tensor(x.shape())));
+          if (!first) first = frozen;
+          EXPECT_TRUE(SameBits(first->w1, frozen.w1));
+          EXPECT_TRUE(SameBits(first->w2, frozen.w2));
         }
       }
     }
