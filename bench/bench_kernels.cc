@@ -167,24 +167,6 @@ std::vector<Workload> BuildWorkloads() {
                          }});
   }
 
-  // Elementwise accumulate: the autograd gradient-chain shape.
-  {
-    constexpr std::int64_t kLen = 1 << 16;
-    Rng rng(15);
-    auto x = std::make_shared<std::vector<double>>(kLen);
-    auto y = std::make_shared<std::vector<double>>(kLen);
-    auto z = std::make_shared<std::vector<double>>(kLen, 0.0);
-    for (double& v : *x) v = rng.Normal();
-    for (double& v : *y) v = rng.Normal();
-    workloads.push_back({"ew_mul_acc",
-                         3.0 * kLen * 8.0,
-                         {1},
-                         [x, y, z] {
-                           kernels::Active().ew_mul_acc(x->data(), y->data(),
-                                                        z->data(), kLen);
-                         }});
-  }
-
   return workloads;
 }
 

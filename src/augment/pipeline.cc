@@ -46,31 +46,6 @@ core::StatusOr<std::vector<core::TimeSeries>> RandomChoiceAugmenter::DoGenerate(
   return out;
 }
 
-ChainAugmenter::ChainAugmenter(
-    std::shared_ptr<Augmenter> source,
-    std::vector<std::shared_ptr<TransformAugmenter>> stages, std::string name)
-    : source_(std::move(source)), stages_(std::move(stages)),
-      name_(std::move(name)) {
-  TSAUG_CHECK(source_ != nullptr);
-}
-
-core::StatusOr<std::vector<core::TimeSeries>> ChainAugmenter::DoGenerate(
-    const core::Dataset& train, int label, int count, core::Rng& rng) {
-  core::StatusOr<std::vector<core::TimeSeries>> generated =
-      source_->TryGenerate(train, label, count, rng);
-  if (!generated.ok()) {
-    core::Status status = generated.status();
-    return status.AddContext(name_);
-  }
-  std::vector<core::TimeSeries> out = std::move(generated).value();
-  for (core::TimeSeries& series : out) {
-    for (const auto& stage : stages_) {
-      series = stage->Transform(series, rng);
-    }
-  }
-  return out;
-}
-
 std::vector<TaxonomyEntry> BuildTaxonomy(bool include_timegan) {
   std::vector<TaxonomyEntry> taxonomy;
   auto add = [&](std::shared_ptr<Augmenter> augmenter) {

@@ -32,28 +32,6 @@ class RandomChoiceAugmenter : public Augmenter {
   std::string name_;
 };
 
-/// Sequential composition: each synthetic series is produced by the first
-/// member and then transformed by every following TransformAugmenter
-/// member in order (non-transform members cannot follow the first slot).
-class ChainAugmenter : public Augmenter {
- public:
-  ChainAugmenter(std::shared_ptr<Augmenter> source,
-                 std::vector<std::shared_ptr<TransformAugmenter>> stages,
-                 std::string name = "chain");
-
-  std::string name() const override { return name_; }
-  TaxonomyBranch branch() const override { return source_->branch(); }
-
-  core::StatusOr<std::vector<core::TimeSeries>> DoGenerate(
-      const core::Dataset& train, int label, int count,
-      core::Rng& rng) override;
-
- private:
-  std::shared_ptr<Augmenter> source_;
-  std::vector<std::shared_ptr<TransformAugmenter>> stages_;
-  std::string name_;
-};
-
 /// An entry of the taxonomy registry (Figure 1): a ready-to-use instance
 /// of every augmenter in the library with its branch.
 struct TaxonomyEntry {

@@ -9,12 +9,18 @@ namespace tsaug::core::kernels {
 ///
 /// This is the op/OpImpl seam (in the cavs style): each hot-loop
 /// *definition* lives at its call site (ROCKET transform, the MatMul
-/// family, the ridge eigensolver, Conv1dSame, the distance kernels, the
-/// autograd elementwise chains) and names one entry below; the
+/// family, the ridge eigensolver, Conv1dSame, the distance kernels, and
+/// InceptionTime's residual Add and ReLU) and names one entry below; the
 /// *implementations* live in kernels_scalar.cc (portable reference) and
 /// kernels_simd.cc (AVX2), selected once per process via
 /// `TSAUG_BACKEND=scalar|simd` or CPU auto-detection (default: the
 /// fastest available).
+///
+/// An entry is here only because a benchmark workload runs measurably
+/// faster with its SIMD form than with a plain loop. Every other
+/// elementwise pass (the GRU gates, Sub, Mul, the scalar ops) is a plain
+/// loop in its op in nn/ops.cc, where no workload measured slower
+/// (DESIGN.md, "Kernel backends").
 ///
 /// Determinism contract: the scalar table is the bitwise reference, and
 /// every SIMD entry must produce bitwise-identical results. The seam
@@ -89,40 +95,18 @@ struct KernelTable {
   double (*squared_diff_sum)(const double* a, const double* b,
                              std::int64_t n);
 
-  // Elementwise passes (autograd chains). No reductions: per-element
-  // arithmetic rounds identically in both backends. The *_acc forms
-  // accumulate (y += ...), matching the autograd gradient convention.
-  void (*ew_scale)(double s, const double* x, double* y, std::int64_t n);
-  void (*ew_add_const)(double c, const double* x, double* y, std::int64_t n);
-  void (*ew_one_minus)(const double* x, double* y, std::int64_t n);
-  void (*ew_relu)(const double* x, double* y, std::int64_t n);
-  void (*ew_mul)(const double* x, const double* y, double* z, std::int64_t n);
-  void (*ew_mul_acc)(const double* x, const double* y, double* z,
-                     std::int64_t n);
+  // Elementwise passes of the InceptionTime hot loop. No reductions:
+  // per-element arithmetic rounds identically in both backends. The *_acc
+  // forms accumulate (y += ...), the autograd gradient convention.
+
+  /// y[i] += g[i] (the residual Add and Conv1dSame's dW tap sums).
   void (*ew_add_acc)(const double* g, double* y, std::int64_t n);
-  void (*ew_sub_acc)(const double* g, double* y, std::int64_t n);
-  void (*ew_scale_acc)(double s, const double* g, double* y, std::int64_t n);
+  /// y[i] = x[i] > 0 ? x[i] : +0.0.
+  void (*ew_relu)(const double* x, double* y, std::int64_t n);
+  /// y[i] += g[i] * (x[i] > 0 ? 1.0 : 0.0), the multiply kept (g * 0.0
+  /// is -0.0 for negative g and NaN for infinite g, unlike selecting g).
   void (*ew_relu_bwd_acc)(const double* g, const double* x, double* y,
                           std::int64_t n);
-  /// y += g * (1 - yv*yv), the tanh backward chain.
-  void (*ew_tanh_bwd_acc)(const double* g, const double* yv, double* y,
-                          std::int64_t n);
-  /// y += g * (yv * (1 - yv)), the sigmoid backward chain.
-  void (*ew_sigmoid_bwd_acc)(const double* g, const double* yv, double* y,
-                             std::int64_t n);
-  /// z = g * (1 - yv*yv) (non-accumulating; fused-gate backward).
-  void (*ew_tanh_bwd)(const double* g, const double* yv, double* z,
-                      std::int64_t n);
-  /// z = g * (yv * (1 - yv)) (non-accumulating; fused-gate backward).
-  void (*ew_sigmoid_bwd)(const double* g, const double* yv, double* z,
-                         std::int64_t n);
-  /// y = tanh((a[j] + b[j]) + bias[j]): the fused gate forward. The adds
-  /// vectorise; tanh/sigmoid stay scalar libm calls in both backends so
-  /// transcendentals cannot diverge.
-  void (*ew_add3_tanh)(const double* a, const double* b, const double* bias,
-                       double* y, std::int64_t n);
-  void (*ew_add3_sigmoid)(const double* a, const double* b,
-                          const double* bias, double* y, std::int64_t n);
 };
 
 enum class Backend {

@@ -5,37 +5,11 @@
 // table to byte-for-byte equality against it.
 
 #include <algorithm>
-#include <cmath>
 
-#include "core/kernels/ew_functors.h"
 #include "core/kernels/kernels.h"
 
 namespace tsaug::core::kernels {
 namespace {
-
-// --- elementwise map loops (scalar instantiation of the shared functors) ---
-
-template <typename Op>
-void MapUnary(const Op& op, const double* x, double* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] = op(x[i]);
-}
-
-template <typename Op>
-void MapUnaryAcc(const Op& op, const double* x, double* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += op(x[i]);
-}
-
-template <typename Op>
-void MapBinary(const Op& op, const double* a, const double* b, double* y,
-               std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] = op(a[i], b[i]);
-}
-
-template <typename Op>
-void MapBinaryAcc(const Op& op, const double* a, const double* b, double* y,
-                  std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += op(a[i], b[i]);
-}
 
 // --- MatMul family ----------------------------------------------------------
 
@@ -132,74 +106,22 @@ double SquaredDiffSum(const double* a, const double* b, std::int64_t n) {
 
 // --- elementwise entry points -----------------------------------------------
 
-void EwScale(double s, const double* x, double* y, std::int64_t n) {
-  MapUnary(ScaleOp{s}, x, y, n);
-}
-void EwAddConst(double c, const double* x, double* y, std::int64_t n) {
-  MapUnary(AddConstOp{c}, x, y, n);
-}
-void EwOneMinus(const double* x, double* y, std::int64_t n) {
-  MapUnary(OneMinusOp{}, x, y, n);
-}
-void EwRelu(const double* x, double* y, std::int64_t n) {
-  MapUnary(ReluOp{}, x, y, n);
-}
-void EwMul(const double* x, const double* y, double* z, std::int64_t n) {
-  MapBinary(MulOp{}, x, y, z, n);
-}
-void EwMulAcc(const double* x, const double* y, double* z, std::int64_t n) {
-  MapBinaryAcc(MulOp{}, x, y, z, n);
-}
 void EwAddAcc(const double* g, double* y, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] += g[i];
 }
-void EwSubAcc(const double* g, double* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] -= g[i];
+
+void EwRelu(const double* x, double* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0 ? x[i] : 0.0;
 }
-void EwScaleAcc(double s, const double* g, double* y, std::int64_t n) {
-  MapUnaryAcc(ScaleGradOp{s}, g, y, n);
-}
+
 void EwReluBwdAcc(const double* g, const double* x, double* y,
                   std::int64_t n) {
-  MapBinaryAcc(ReluBwdOp{}, g, x, y, n);
-}
-void EwTanhBwdAcc(const double* g, const double* yv, double* y,
-                  std::int64_t n) {
-  MapBinaryAcc(TanhBwdOp{}, g, yv, y, n);
-}
-void EwSigmoidBwdAcc(const double* g, const double* yv, double* y,
-                     std::int64_t n) {
-  MapBinaryAcc(SigmoidBwdOp{}, g, yv, y, n);
-}
-void EwTanhBwd(const double* g, const double* yv, double* z, std::int64_t n) {
-  MapBinary(TanhBwdOp{}, g, yv, z, n);
-}
-void EwSigmoidBwd(const double* g, const double* yv, double* z,
-                  std::int64_t n) {
-  MapBinary(SigmoidBwdOp{}, g, yv, z, n);
-}
-
-void EwAdd3Tanh(const double* a, const double* b, const double* bias,
-                double* y, std::int64_t n) {
-  const Add3Op add3;
-  for (std::int64_t i = 0; i < n; ++i) y[i] = std::tanh(add3(a[i], b[i], bias[i]));
-}
-
-void EwAdd3Sigmoid(const double* a, const double* b, const double* bias,
-                   double* y, std::int64_t n) {
-  const Add3Op add3;
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[i] = StableSigmoid(add3(a[i], b[i], bias[i]));
-  }
+  for (std::int64_t i = 0; i < n; ++i) y[i] += g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
 }
 
 constexpr KernelTable kScalarTable = {
-    RowPanelMatMul, DotPanel,        RotateRows,    RocketPpvMax,
-    SquaredDistRow, SquaredDiffSum,  EwScale,       EwAddConst,
-    EwOneMinus,     EwRelu,          EwMul,         EwMulAcc,
-    EwAddAcc,       EwSubAcc,        EwScaleAcc,    EwReluBwdAcc,
-    EwTanhBwdAcc,   EwSigmoidBwdAcc, EwTanhBwd,     EwSigmoidBwd,
-    EwAdd3Tanh,     EwAdd3Sigmoid,
+    RowPanelMatMul, DotPanel,       RotateRows, RocketPpvMax, SquaredDistRow,
+    SquaredDiffSum, EwAddAcc,       EwRelu,     EwReluBwdAcc,
 };
 
 }  // namespace

@@ -1,4 +1,6 @@
-// AVX2 implementations of the kernel seam (src/core/kernels/kernels.h).
+// AVX2 implementations of the kernel seam (src/core/kernels/kernels.h):
+// the six dense kernels and the three elementwise passes of InceptionTime's
+// hot loop, each written directly in intrinsics.
 //
 // Compiled with -mavx2 when the toolchain supports it (TSAUG_SIMD=ON);
 // otherwise — or on non-x86 targets — this TU degrades to a stub whose
@@ -8,11 +10,12 @@
 //
 // Bitwise-parity strategy (the invariant backend_parity_test enforces):
 // vectorise across INDEPENDENT OUTPUTS — convolution positions, output
-// columns, panel rows — and keep each output's reduction in the scalar
-// reference's sequential order. Per-element +,-,* round identically in
-// vector and scalar form (and -ffp-contract=off forbids the compiler from
-// fusing a mul+add into an FMA in one backend only), so equal operation
-// order means equal bits. The two lane-blocked reductions
+// columns, panel rows, elements — and keep each output's reduction in the
+// scalar reference's sequential order. Per-element +,-,* round identically
+// in vector and scalar form (and -ffp-contract=off forbids the compiler
+// from fusing a mul+add into an FMA in one backend only), so equal
+// operation order means equal bits; each vector loop's tail is the scalar
+// reference loop itself. The two lane-blocked reductions
 // (squared_diff_sum, the rocket max fold) follow the fixed order
 // documented in kernels.h, which the scalar reference implements too.
 
@@ -23,88 +26,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
-
-#include "core/kernels/ew_functors.h"
+#include <limits>
 
 namespace tsaug::core::kernels {
 namespace {
-
-/// Four packed doubles with value-semantics operators, so one functor
-/// template from ew_functors.h instantiates this backend the same way it
-/// instantiates the scalar one (V = double there, V = Vec4d here).
-struct Vec4d {
-  __m256d v;
-
-  Vec4d(__m256d raw) : v(raw) {}  // NOLINT(google-explicit-constructor)
-  explicit Vec4d(double s) : v(_mm256_set1_pd(s)) {}
-
-  static Vec4d Load(const double* p) { return Vec4d(_mm256_loadu_pd(p)); }
-  void Store(double* p) const { _mm256_storeu_pd(p, v); }
-
-  /// 1.0 where the lane is > 0.0, else +0.0 — the relu-backward indicator.
-  static Vec4d GreaterThanZeroMask01(const Vec4d& x) {
-    const __m256d mask = _mm256_cmp_pd(x.v, _mm256_setzero_pd(), _CMP_GT_OQ);
-    return Vec4d(_mm256_and_pd(mask, _mm256_set1_pd(1.0)));
-  }
-
-  friend Vec4d operator+(const Vec4d& a, const Vec4d& b) {
-    return Vec4d(_mm256_add_pd(a.v, b.v));
-  }
-  friend Vec4d operator-(const Vec4d& a, const Vec4d& b) {
-    return Vec4d(_mm256_sub_pd(a.v, b.v));
-  }
-  friend Vec4d operator*(const Vec4d& a, const Vec4d& b) {
-    return Vec4d(_mm256_mul_pd(a.v, b.v));
-  }
-};
-
-/// x > 0 ? x : +0.0 per lane (the relu forward; the cmp mask maps NaN and
-/// -0.0 to +0.0 exactly like the scalar ternary).
-Vec4d EwMax0(const Vec4d& x) {
-  const __m256d mask = _mm256_cmp_pd(x.v, _mm256_setzero_pd(), _CMP_GT_OQ);
-  return Vec4d(_mm256_and_pd(mask, x.v));
-}
-
-// --- elementwise map loops (vector body + scalar tail; both instantiate
-// --- the same functor, so the tail matches the scalar backend exactly) ---
-
-template <typename Op>
-void MapUnary(const Op& op, const double* x, double* y, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) op(Vec4d::Load(x + i)).Store(y + i);
-  for (; i < n; ++i) y[i] = op(x[i]);
-}
-
-template <typename Op>
-void MapUnaryAcc(const Op& op, const double* x, double* y, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    (Vec4d::Load(y + i) + op(Vec4d::Load(x + i))).Store(y + i);
-  }
-  for (; i < n; ++i) y[i] += op(x[i]);
-}
-
-template <typename Op>
-void MapBinary(const Op& op, const double* a, const double* b, double* y,
-               std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    op(Vec4d::Load(a + i), Vec4d::Load(b + i)).Store(y + i);
-  }
-  for (; i < n; ++i) y[i] = op(a[i], b[i]);
-}
-
-template <typename Op>
-void MapBinaryAcc(const Op& op, const double* a, const double* b, double* y,
-                  std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    (Vec4d::Load(y + i) + op(Vec4d::Load(a + i), Vec4d::Load(b + i)))
-        .Store(y + i);
-  }
-  for (; i < n; ++i) y[i] += op(a[i], b[i]);
-}
 
 // --- MatMul family ----------------------------------------------------------
 
@@ -343,24 +268,6 @@ double SquaredDiffSum(const double* a, const double* b, std::int64_t n) {
 
 // --- elementwise entry points -----------------------------------------------
 
-void EwScale(double s, const double* x, double* y, std::int64_t n) {
-  MapUnary(ScaleOp{s}, x, y, n);
-}
-void EwAddConst(double c, const double* x, double* y, std::int64_t n) {
-  MapUnary(AddConstOp{c}, x, y, n);
-}
-void EwOneMinus(const double* x, double* y, std::int64_t n) {
-  MapUnary(OneMinusOp{}, x, y, n);
-}
-void EwRelu(const double* x, double* y, std::int64_t n) {
-  MapUnary(ReluOp{}, x, y, n);
-}
-void EwMul(const double* x, const double* y, double* z, std::int64_t n) {
-  MapBinary(MulOp{}, x, y, z, n);
-}
-void EwMulAcc(const double* x, const double* y, double* z, std::int64_t n) {
-  MapBinaryAcc(MulOp{}, x, y, z, n);
-}
 void EwAddAcc(const double* g, double* y, std::int64_t n) {
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -369,80 +276,40 @@ void EwAddAcc(const double* g, double* y, std::int64_t n) {
   }
   for (; i < n; ++i) y[i] += g[i];
 }
-void EwSubAcc(const double* g, double* y, std::int64_t n) {
+
+/// x > 0 ? x : +0.0 per lane: the ordered compare is false for NaN and
+/// -0.0, so the mask maps both to +0.0 exactly like the scalar ternary.
+void EwRelu(const double* x, double* y, std::int64_t n) {
+  const __m256d zero = _mm256_setzero_pd();
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
+    const __m256d xv = _mm256_loadu_pd(x + i);
     _mm256_storeu_pd(
-        y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(g + i)));
+        y + i, _mm256_and_pd(_mm256_cmp_pd(xv, zero, _CMP_GT_OQ), xv));
   }
-  for (; i < n; ++i) y[i] -= g[i];
+  for (; i < n; ++i) y[i] = x[i] > 0.0 ? x[i] : 0.0;
 }
-void EwScaleAcc(double s, const double* g, double* y, std::int64_t n) {
-  MapUnaryAcc(ScaleGradOp{s}, g, y, n);
-}
+
+/// The same compare mask picks 1.0 or +0.0, and g multiplies it as in the
+/// scalar loop.
 void EwReluBwdAcc(const double* g, const double* x, double* y,
                   std::int64_t n) {
-  MapBinaryAcc(ReluBwdOp{}, g, x, y, n);
-}
-void EwTanhBwdAcc(const double* g, const double* yv, double* y,
-                  std::int64_t n) {
-  MapBinaryAcc(TanhBwdOp{}, g, yv, y, n);
-}
-void EwSigmoidBwdAcc(const double* g, const double* yv, double* y,
-                     std::int64_t n) {
-  MapBinaryAcc(SigmoidBwdOp{}, g, yv, y, n);
-}
-void EwTanhBwd(const double* g, const double* yv, double* z, std::int64_t n) {
-  MapBinary(TanhBwdOp{}, g, yv, z, n);
-}
-void EwSigmoidBwd(const double* g, const double* yv, double* z,
-                  std::int64_t n) {
-  MapBinary(SigmoidBwdOp{}, g, yv, z, n);
-}
-
-void EwAdd3Tanh(const double* a, const double* b, const double* bias,
-                double* y, std::int64_t n) {
-  // Vectorise the adds, keep tanh a scalar libm call per lane: the sums
-  // are bitwise those of the scalar backend, and so are the tanh results.
-  alignas(32) double pre[4];
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d sum = _mm256_add_pd(
-        _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)),
-        _mm256_loadu_pd(bias + i));
-    _mm256_store_pd(pre, sum);
-    y[i] = std::tanh(pre[0]);
-    y[i + 1] = std::tanh(pre[1]);
-    y[i + 2] = std::tanh(pre[2]);
-    y[i + 3] = std::tanh(pre[3]);
+    const __m256d mask =
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_GT_OQ);
+    const __m256d dy =
+        _mm256_mul_pd(_mm256_loadu_pd(g + i), _mm256_and_pd(mask, one));
+    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), dy));
   }
-  for (; i < n; ++i) y[i] = std::tanh((a[i] + b[i]) + bias[i]);
-}
-
-void EwAdd3Sigmoid(const double* a, const double* b, const double* bias,
-                   double* y, std::int64_t n) {
-  alignas(32) double pre[4];
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sum = _mm256_add_pd(
-        _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)),
-        _mm256_loadu_pd(bias + i));
-    _mm256_store_pd(pre, sum);
-    y[i] = StableSigmoid(pre[0]);
-    y[i + 1] = StableSigmoid(pre[1]);
-    y[i + 2] = StableSigmoid(pre[2]);
-    y[i + 3] = StableSigmoid(pre[3]);
-  }
-  for (; i < n; ++i) y[i] = StableSigmoid((a[i] + b[i]) + bias[i]);
+  for (; i < n; ++i) y[i] += g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
 }
 
 constexpr KernelTable kSimdTable = {
-    RowPanelMatMul, DotPanel,        RotateRows,    RocketPpvMax,
-    SquaredDistRow, SquaredDiffSum,  EwScale,       EwAddConst,
-    EwOneMinus,     EwRelu,          EwMul,         EwMulAcc,
-    EwAddAcc,       EwSubAcc,        EwScaleAcc,    EwReluBwdAcc,
-    EwTanhBwdAcc,   EwSigmoidBwdAcc, EwTanhBwd,     EwSigmoidBwd,
-    EwAdd3Tanh,     EwAdd3Sigmoid,
+    RowPanelMatMul, DotPanel,       RotateRows, RocketPpvMax, SquaredDistRow,
+    SquaredDiffSum, EwAddAcc,       EwRelu,     EwReluBwdAcc,
 };
 
 }  // namespace

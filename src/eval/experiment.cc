@@ -53,13 +53,8 @@ std::string DatasetRow::BestTechnique() const {
 }
 
 double DatasetRow::ImprovementPercent() const {
-  const double best = BestAugmentedAccuracy();
-  // NaN baseline (all baseline runs failed) fails the > 0 test too, so
-  // the RelativeGain precondition never sees a non-finite denominator.
-  if (!(baseline_accuracy > 0.0) || !std::isfinite(best)) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return 100.0 * RelativeGain(best, baseline_accuracy);
+  // A NaN best (every cell failed) propagates through RelativeGain.
+  return 100.0 * RelativeGain(BestAugmentedAccuracy(), baseline_accuracy);
 }
 
 double StudyResult::AverageImprovement() const {
@@ -108,7 +103,9 @@ std::map<std::string, int> StudyResult::ImprovementCounts() const {
 }
 
 double RelativeGain(double augmented_accuracy, double baseline_accuracy) {
-  TSAUG_CHECK(baseline_accuracy > 0.0);
+  if (!(std::isfinite(baseline_accuracy) && baseline_accuracy > 0.0)) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
   return (augmented_accuracy - baseline_accuracy) / baseline_accuracy;
 }
 

@@ -141,7 +141,8 @@ struct StudyResult {
   std::map<std::string, int> ImprovementCounts() const;
 };
 
-/// Eq. (3): relative gain of an augmented model over the baseline.
+/// Eq. (3): relative gain of an augmented model over the baseline. NaN
+/// when the baseline is not finite and > 0 (every baseline run failed).
 double RelativeGain(double augmented_accuracy, double baseline_accuracy);
 
 /// Result of one successful train-and-score: the accuracy plus how many

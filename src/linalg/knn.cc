@@ -28,25 +28,6 @@ std::vector<int> KNearestNeighbors(
   return neighbors;
 }
 
-std::vector<double> PairwiseDistances(
-    const std::vector<std::vector<double>>& points) {
-  const int n = static_cast<int>(points.size());
-  std::vector<double> d(static_cast<size_t>(n) * static_cast<size_t>(n), 0.0);
-  // Row i owns cells (i, j) and (j, i) for j > i — disjoint across rows,
-  // so the triangular loop parallelises deterministically; dynamic chunk
-  // claiming balances the shrinking row lengths.
-  core::ParallelFor(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        const double dist = EuclideanDistance(points[static_cast<size_t>(i)], points[static_cast<size_t>(j)]);
-        d[static_cast<size_t>(i) * static_cast<size_t>(n) + static_cast<size_t>(j)] = dist;
-        d[static_cast<size_t>(j) * static_cast<size_t>(n) + static_cast<size_t>(i)] = dist;
-      }
-    }
-  });
-  return d;
-}
-
 std::vector<int> SharedNearestNeighborSimilarity(
     const std::vector<std::vector<double>>& points, int k) {
   const int n = static_cast<int>(points.size());

@@ -12,11 +12,6 @@ std::vector<int> KNearestNeighbors(const std::vector<std::vector<double>>& point
                                    const std::vector<double>& query, int k,
                                    int exclude = -1);
 
-/// Full pairwise Euclidean distance matrix of `points` (symmetric, zero
-/// diagonal), as a flat row-major buffer of size n*n.
-std::vector<double> PairwiseDistances(
-    const std::vector<std::vector<double>>& points);
-
 /// Shared-nearest-neighbor similarity used by OHIT's density clustering:
 /// the SNN similarity of two points is the number of common members in
 /// their k-nearest-neighbor lists (computed with self excluded).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/kernels/ew_functors.h"
 #include "core/kernels/kernels.h"
 #include "core/parallel.h"
 #include "core/trace.h"
@@ -12,6 +11,13 @@ namespace tsaug::nn {
 namespace {
 
 using NodePtr = std::shared_ptr<Node>;
+
+// The two-branch sigmoid, stable for large |v|: exp never sees a large
+// positive argument.
+double StableSigmoid(double v) {
+  return v >= 0.0 ? 1.0 / (1.0 + std::exp(-v))
+                  : std::exp(v) / (1.0 + std::exp(v));
+}
 
 // Elementwise unary op helper: forward maps value, backward multiplies the
 // upstream gradient by a local derivative computed from (input, output).
@@ -131,53 +137,50 @@ Variable AddRowBias(const Variable& x, const Variable& bias) {
 namespace {
 
 // Shared body of the fused gate ops: one graph node computing
-// act((a + b) + bias_row) via the backend's fused elementwise kernels.
-// Forward and backward reproduce the unfused composition
-// Act(AddRowBias(Add(a, b), bias)) bit for bit: the pre-activation sums
-// associate as (a + b) + bias, the activation is the same scalar libm
-// call, and each parent gradient receives exactly the terms the three
-// unfused nodes would have routed to it, in the same order.
+// act((a + b) + bias_row). Forward and backward reproduce the unfused
+// composition Act(AddRowBias(Add(a, b), bias)) bit for bit: the
+// pre-activation sums associate as (a + b) + bias, the activation is the
+// same scalar libm call, and each parent gradient receives exactly the
+// terms the three unfused nodes would have routed to it, in the same order.
+template <bool kTanh>
 Variable AddRowBiasActivate(const Variable& a, const Variable& b,
-                            const Variable& bias, bool use_tanh) {
+                            const Variable& bias) {
   TSAUG_CHECK(a.value().ndim() == 2 && a.value().SameShape(b.value()));
   TSAUG_CHECK(bias.value().ndim() == 1);
   const int n = a.value().dim(0);
   const int f = a.value().dim(1);
   TSAUG_CHECK(bias.value().dim(0) == f);
 
-  const auto& kt = core::kernels::Active();
   Tensor out({n, f});
   const double* bias0 = bias.value().data().data();
   for (int i = 0; i < n; ++i) {
-    if (use_tanh) {
-      kt.ew_add3_tanh(a.value().row2(i), b.value().row2(i), bias0,
-                      out.row2(i), f);
-    } else {
-      kt.ew_add3_sigmoid(a.value().row2(i), b.value().row2(i), bias0,
-                         out.row2(i), f);
+    const double* ar = a.value().row2(i);
+    const double* br = b.value().row2(i);
+    double* yr = out.row2(i);
+    for (int j = 0; j < f; ++j) {
+      const double pre = (ar[j] + br[j]) + bias0[j];
+      yr[j] = kTanh ? std::tanh(pre) : StableSigmoid(pre);
     }
   }
   return Variable::FromOp(
-      std::move(out), {a.node(), b.node(), bias.node()},
-      [n, f, use_tanh](Node& self) {
+      std::move(out), {a.node(), b.node(), bias.node()}, [n, f](Node& self) {
         Node& pa = *self.parents[0];
         Node& pb = *self.parents[1];
-        Node& pbias = *self.parents[2];
-        const auto& kb = core::kernels::Active();
-        std::vector<double> local(static_cast<size_t>(f));
+        double* gbias = self.parents[2]->grad.data().data();
         for (int i = 0; i < n; ++i) {
-          // local = g * act'(y), then fan the same row into both inputs
-          // and the bias (rows ascending, matching the unfused order).
-          if (use_tanh) {
-            kb.ew_tanh_bwd(self.grad.row2(i), self.value.row2(i),
-                           local.data(), f);
-          } else {
-            kb.ew_sigmoid_bwd(self.grad.row2(i), self.value.row2(i),
-                              local.data(), f);
+          // g * act'(y) fans out to both inputs and the bias (rows
+          // ascending, matching the unfused order).
+          const double* g = self.grad.row2(i);
+          const double* y = self.value.row2(i);
+          double* ga = pa.grad.row2(i);
+          double* gb = pb.grad.row2(i);
+          for (int j = 0; j < f; ++j) {
+            const double local = kTanh ? g[j] * (1.0 - y[j] * y[j])
+                                       : g[j] * (y[j] * (1.0 - y[j]));
+            ga[j] += local;
+            gb[j] += local;
+            gbias[j] += local;
           }
-          kb.ew_add_acc(local.data(), pa.grad.row2(i), f);
-          kb.ew_add_acc(local.data(), pb.grad.row2(i), f);
-          kb.ew_add_acc(local.data(), pbias.grad.data().data(), f);
         }
       });
 }
@@ -186,110 +189,84 @@ Variable AddRowBiasActivate(const Variable& a, const Variable& b,
 
 Variable AddRowBiasSigmoid(const Variable& a, const Variable& b,
                            const Variable& bias) {
-  return AddRowBiasActivate(a, b, bias, /*use_tanh=*/false);
+  return AddRowBiasActivate<false>(a, b, bias);
 }
 
 Variable AddRowBiasTanh(const Variable& a, const Variable& b,
                         const Variable& bias) {
-  return AddRowBiasActivate(a, b, bias, /*use_tanh=*/true);
+  return AddRowBiasActivate<true>(a, b, bias);
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
   TSAUG_CHECK(a.value().SameShape(b.value()));
-  const auto& kt = core::kernels::Active();
-  Tensor out = a.value();
-  kt.ew_sub_acc(b.value().data().data(), out.data().data(),
-                static_cast<std::int64_t>(out.numel()));
+  Tensor out(a.value().shape());
+  for (size_t i = 0; i < out.numel(); ++i) {
+    out[i] = a.value()[i] - b.value()[i];
+  }
   return Variable::FromOp(std::move(out), {a.node(), b.node()},
                           [](Node& self) {
-    const auto& kb = core::kernels::Active();
-    const std::int64_t n = static_cast<std::int64_t>(self.grad.numel());
-    kb.ew_add_acc(self.grad.data().data(), self.parents[0]->grad.data().data(),
-                  n);
-    kb.ew_sub_acc(self.grad.data().data(), self.parents[1]->grad.data().data(),
-                  n);
+    Node& pa = *self.parents[0];
+    Node& pb = *self.parents[1];
+    for (size_t i = 0; i < self.grad.numel(); ++i) {
+      pa.grad[i] += self.grad[i];
+      pb.grad[i] -= self.grad[i];
+    }
   });
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
   TSAUG_CHECK(a.value().SameShape(b.value()));
-  const auto& kt = core::kernels::Active();
   Tensor out(a.value().shape());
-  kt.ew_mul(a.value().data().data(), b.value().data().data(),
-            out.data().data(), static_cast<std::int64_t>(out.numel()));
+  for (size_t i = 0; i < out.numel(); ++i) {
+    out[i] = a.value()[i] * b.value()[i];
+  }
   return Variable::FromOp(std::move(out), {a.node(), b.node()},
                           [](Node& self) {
-    const auto& kb = core::kernels::Active();
-    const std::int64_t n = static_cast<std::int64_t>(self.grad.numel());
-    kb.ew_mul_acc(self.grad.data().data(),
-                  self.parents[1]->value.data().data(),
-                  self.parents[0]->grad.data().data(), n);
-    kb.ew_mul_acc(self.grad.data().data(),
-                  self.parents[0]->value.data().data(),
-                  self.parents[1]->grad.data().data(), n);
+    Node& pa = *self.parents[0];
+    Node& pb = *self.parents[1];
+    for (size_t i = 0; i < self.grad.numel(); ++i) {
+      pa.grad[i] += self.grad[i] * pb.value[i];
+      pb.grad[i] += self.grad[i] * pa.value[i];
+    }
   });
 }
 
 Variable ScaleBy(const Variable& x, double s) {
-  const auto& kt = core::kernels::Active();
-  Tensor out(x.value().shape());
-  kt.ew_scale(s, x.value().data().data(), out.data().data(),
-              static_cast<std::int64_t>(out.numel()));
-  return Variable::FromOp(std::move(out), {x.node()}, [s](Node& self) {
-    core::kernels::Active().ew_scale_acc(
-        s, self.grad.data().data(), self.parents[0]->grad.data().data(),
-        static_cast<std::int64_t>(self.grad.numel()));
-  });
+  return UnaryOp(
+      x, [s](double v) { return v * s; }, [s](double, double) { return s; });
 }
 
 Variable AddConst(const Variable& x, double c) {
-  const auto& kt = core::kernels::Active();
   Tensor out(x.value().shape());
-  kt.ew_add_const(c, x.value().data().data(), out.data().data(),
-                  static_cast<std::int64_t>(out.numel()));
+  for (size_t i = 0; i < out.numel(); ++i) out[i] = x.value()[i] + c;
   return Variable::FromOp(std::move(out), {x.node()}, [](Node& self) {
-    core::kernels::Active().ew_add_acc(
-        self.grad.data().data(), self.parents[0]->grad.data().data(),
-        static_cast<std::int64_t>(self.grad.numel()));
+    Node& parent = *self.parents[0];
+    for (size_t i = 0; i < self.grad.numel(); ++i) {
+      parent.grad[i] += self.grad[i];
+    }
   });
 }
 
 Variable OneMinus(const Variable& x) {
-  const auto& kt = core::kernels::Active();
   Tensor out(x.value().shape());
-  kt.ew_one_minus(x.value().data().data(), out.data().data(),
-                  static_cast<std::int64_t>(out.numel()));
+  for (size_t i = 0; i < out.numel(); ++i) out[i] = 1.0 - x.value()[i];
   return Variable::FromOp(std::move(out), {x.node()}, [](Node& self) {
-    core::kernels::Active().ew_sub_acc(
-        self.grad.data().data(), self.parents[0]->grad.data().data(),
-        static_cast<std::int64_t>(self.grad.numel()));
+    Node& parent = *self.parents[0];
+    for (size_t i = 0; i < self.grad.numel(); ++i) {
+      parent.grad[i] -= self.grad[i];
+    }
   });
 }
 
 Variable Sigmoid(const Variable& x) {
-  // The transcendental stays a scalar libm call in every backend
-  // (core::kernels::StableSigmoid); only the derivative chain dispatches.
-  Tensor out(x.value().shape());
-  for (size_t i = 0; i < out.numel(); ++i) {
-    out[i] = core::kernels::StableSigmoid(x.value()[i]);
-  }
-  return Variable::FromOp(std::move(out), {x.node()}, [](Node& self) {
-    core::kernels::Active().ew_sigmoid_bwd_acc(
-        self.grad.data().data(), self.value.data().data(),
-        self.parents[0]->grad.data().data(),
-        static_cast<std::int64_t>(self.grad.numel()));
-  });
+  return UnaryOp(
+      x, StableSigmoid, [](double, double y) { return y * (1.0 - y); });
 }
 
 Variable Tanh(const Variable& x) {
-  Tensor out(x.value().shape());
-  for (size_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(x.value()[i]);
-  return Variable::FromOp(std::move(out), {x.node()}, [](Node& self) {
-    core::kernels::Active().ew_tanh_bwd_acc(
-        self.grad.data().data(), self.value.data().data(),
-        self.parents[0]->grad.data().data(),
-        static_cast<std::int64_t>(self.grad.numel()));
-  });
+  return UnaryOp(
+      x, [](double v) { return std::tanh(v); },
+      [](double, double y) { return 1.0 - y * y; });
 }
 
 Variable Relu(const Variable& x) {
@@ -336,42 +313,6 @@ Variable Reshape(const Variable& x, std::vector<int> shape) {
   return Variable::FromOp(std::move(out), {x.node()}, [](Node& self) {
     for (size_t i = 0; i < self.grad.numel(); ++i) {
       self.parents[0]->grad[i] += self.grad[i];
-    }
-  });
-}
-
-Variable ConcatFeatures(const std::vector<Variable>& parts) {
-  TSAUG_CHECK(!parts.empty());
-  const int n = parts[0].value().dim(0);
-  int total_f = 0;
-  std::vector<NodePtr> nodes;
-  std::vector<int> widths;
-  for (const Variable& p : parts) {
-    TSAUG_CHECK(p.value().ndim() == 2 && p.value().dim(0) == n);
-    widths.push_back(p.value().dim(1));
-    total_f += widths.back();
-    nodes.push_back(p.node());
-  }
-  Tensor out({n, total_f});
-  int offset = 0;
-  for (size_t idx = 0; idx < parts.size(); ++idx) {
-    const Tensor& v = parts[idx].value();
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < widths[idx]; ++j) out.at(i, offset + j) = v.at(i, j);
-    }
-    offset += widths[idx];
-  }
-  return Variable::FromOp(std::move(out), std::move(nodes),
-                          [n, widths](Node& self) {
-    int off = 0;
-    for (size_t idx = 0; idx < self.parents.size(); ++idx) {
-      Node& parent = *self.parents[idx];
-      for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < widths[idx]; ++j) {
-          parent.grad.at(i, j) += self.grad.at(i, off + j);
-        }
-      }
-      off += widths[idx];
     }
   });
 }

@@ -38,10 +38,10 @@ Variable Tanh(const Variable& x);
 Variable Relu(const Variable& x);
 
 /// Fused gate forward: act((a + b) + broadcast of bias [f] over rows),
-/// a single graph node over the backend's fused elementwise kernel.
-/// Bitwise-identical (values and gradients) to the unfused composition
-/// Act(AddRowBias(Add(a, b), bias)) — the recurrent cells use the fused
-/// form to skip three intermediate tensors per gate.
+/// a single graph node with one loop per pass. Bitwise-identical (values
+/// and gradients) to the unfused composition Act(AddRowBias(Add(a, b),
+/// bias)) — the recurrent cells use the fused form to skip three
+/// intermediate tensors per gate.
 Variable AddRowBiasSigmoid(const Variable& a, const Variable& b,
                            const Variable& bias);
 Variable AddRowBiasTanh(const Variable& a, const Variable& b,
@@ -59,9 +59,6 @@ Variable Exp(const Variable& x);
 /// Relabels the shape without moving data (element counts must match);
 /// the gradient passes through unchanged.
 Variable Reshape(const Variable& x, std::vector<int> shape);
-
-/// Concatenation of 2-D tensors along the feature axis (axis 1).
-Variable ConcatFeatures(const std::vector<Variable>& parts);
 
 // ---------------------------------------------------------------------------
 // Sequence ops on [batch, time, features] tensors (GRU plumbing).

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "augment/basic_time.h"
 #include "augment/noise.h"
 #include "augment/oversample.h"
 #include "augment/timegan.h"
@@ -31,24 +30,6 @@ TEST(RandomChoiceAugmenter, DelegatesToMembers) {
   core::Rng rng(2);
   EXPECT_EQ(mix.TryGenerate(train, 1, 9, rng).value().size(), 9u);
   EXPECT_EQ(mix.name(), "random_mix");
-}
-
-TEST(ChainAugmenter, AppliesStagesInOrder) {
-  core::Dataset train = SmallData();
-  // SMOTE then masking: outputs must contain a zeroed window.
-  ChainAugmenter chain(std::make_shared<Smote>(),
-                       {std::make_shared<Masking>(0.3)}, "smote+mask");
-  core::Rng rng(3);
-  const auto generated = chain.TryGenerate(train, 0, 5, rng).value();
-  ASSERT_EQ(generated.size(), 5u);
-  for (const core::TimeSeries& s : generated) {
-    int zero_steps = 0;
-    for (int t = 0; t < s.length(); ++t) {
-      if (s.at(0, t) == 0.0 && s.at(1, t) == 0.0) ++zero_steps;
-    }
-    EXPECT_GE(zero_steps, 5);  // 30% of 20 steps
-  }
-  EXPECT_EQ(chain.name(), "smote+mask");
 }
 
 TEST(BuildTaxonomy, CoversEveryBranch) {

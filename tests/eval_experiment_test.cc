@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -48,6 +49,14 @@ TEST(RelativeGain, MatchesEqThree) {
   EXPECT_NEAR(RelativeGain(0.9, 0.8), 0.125, 1e-12);
   EXPECT_NEAR(RelativeGain(0.7, 0.8), -0.125, 1e-12);
   EXPECT_DOUBLE_EQ(RelativeGain(0.8, 0.8), 0.0);
+}
+
+// A failed baseline (NaN) or a zero one has no relative gain.
+TEST(RelativeGain, NaNForBaselineNotFiniteAndPositive) {
+  EXPECT_TRUE(std::isnan(RelativeGain(0.5, std::nan(""))));
+  EXPECT_TRUE(std::isnan(RelativeGain(0.5, 0.0)));
+  EXPECT_TRUE(std::isnan(
+      RelativeGain(0.5, std::numeric_limits<double>::infinity())));
 }
 
 TEST(DatasetRow, BestAndImprovement) {

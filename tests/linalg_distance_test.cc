@@ -240,15 +240,6 @@ TEST(KNearestNeighbors, KLargerThanPool) {
   EXPECT_EQ(nn.size(), 1u);
 }
 
-TEST(PairwiseDistances, SymmetricZeroDiagonal) {
-  std::vector<std::vector<double>> points = {{0, 0}, {3, 4}, {6, 8}};
-  const auto d = PairwiseDistances(points);
-  EXPECT_DOUBLE_EQ(d[0 * 3 + 0], 0.0);
-  EXPECT_DOUBLE_EQ(d[0 * 3 + 1], 5.0);
-  EXPECT_DOUBLE_EQ(d[1 * 3 + 0], 5.0);
-  EXPECT_DOUBLE_EQ(d[0 * 3 + 2], 10.0);
-}
-
 TEST(SharedNearestNeighborSimilarity, ClusterMembersShareNeighbors) {
   // Two tight clusters of 3; within-cluster SNN counts exceed cross-cluster.
   std::vector<std::vector<double>> points = {{0, 0},   {0.1, 0}, {0, 0.1},

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -119,16 +120,6 @@ TEST(GradCheck, SqrtExpReshape) {
   });
 }
 
-TEST(GradCheck, ConcatFeatures) {
-  core::Rng rng(6);
-  std::vector<Tensor> leaves = {RandomTensor({2, 2}, rng),
-                                RandomTensor({2, 3}, rng)};
-  CheckGradients(leaves, [](std::vector<Variable>& v) {
-    return Mean(Mul(ConcatFeatures({v[0], v[1]}),
-                    ConcatFeatures({v[0], v[1]})));
-  });
-}
-
 TEST(GradCheck, SelectAndStackTime) {
   core::Rng rng(7);
   std::vector<Tensor> leaves = {RandomTensor({2, 4, 3}, rng)};
@@ -240,10 +231,12 @@ ConvResult RunConv1dSame(const Tensor& x, const Tensor& w, int dilation,
   return {y.value(), vx.grad(), vw.grad()};
 }
 
+// An empty tensor's data() may be null, which memcmp must not see.
 bool SameBits(const Tensor& a, const Tensor& b) {
   return a.SameShape(b) &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     a.numel() * sizeof(double)) == 0;
+         (a.numel() == 0 ||
+          std::memcmp(a.data().data(), b.data().data(),
+                      a.numel() * sizeof(double)) == 0);
 }
 
 enum class Poison { kNone, kInfWeight, kNanWeight, kInfGrad, kNanGrad };
@@ -375,6 +368,269 @@ TEST(Conv1dSameOracle, FrozenInputSkipsDxAndKeepsWeightGradients) {
           if (!first) first = frozen;
           EXPECT_TRUE(SameBits(first->w1, frozen.w1));
           EXPECT_TRUE(SameBits(first->w2, frozen.w2));
+        }
+      }
+    }
+  }
+  core::kernels::SetBackend(saved_backend);
+  core::SetNumThreads(saved_threads);
+}
+
+// The elementwise ops bit for bit against their defining scalar formulas:
+// forward values, and each parent gradient accumulated onto a nonzero
+// prior, on inputs that mix normal values with signed zeros, infinities,
+// NaN and subnormals, at every length from 0 to 17 (empty, vector body
+// and tail), under every backend at 1/2/8 threads.
+double ReferenceSigmoid(double v) {
+  return v >= 0.0 ? 1.0 / (1.0 + std::exp(-v))
+                  : std::exp(v) / (1.0 + std::exp(v));
+}
+
+// The NaN of these inputs is the one an invalid operation (inf - inf)
+// makes, so every NaN an op reads or makes has the same bits. When both
+// operands of an add or multiply are NaN, IEEE 754 leaves open which one
+// the result carries, and the compiler may swap the operands (x86 returns
+// the first, and a load folded into the second slot reorders them), so two
+// NaN bit patterns would test register allocation, not the op.
+double InvalidOperationNan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+Tensor MixedTensor(const std::vector<int>& shape, core::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kSpecials[] = {
+      0.0,
+      -0.0,
+      kInf,
+      -kInf,
+      InvalidOperationNan(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      3e-310,
+      -1e-315,
+      std::numeric_limits<double>::min(),
+      1.0,
+      -1.0,
+      800.0,
+      -800.0,
+  };
+  const int kNumSpecials = static_cast<int>(std::size(kSpecials));
+  Tensor t(shape);
+  for (double& v : t.data()) {
+    v = rng.Bernoulli(0.35) ? kSpecials[rng.Index(kNumSpecials)]
+                            : rng.Normal(0.0, 2.0);
+  }
+  return t;
+}
+
+// One op under test. `uses[p]` names the leaf feeding parent p, so a leaf
+// used twice receives both parents' gradients. `reference` writes the
+// forward value into y and accumulates every parent's gradient into
+// dx[p] (the leaf's buffer, shared when two parents share a leaf).
+struct EwOracleCase {
+  std::string name;
+  std::vector<int> uses;
+  bool row_bias;  // parents are (rows x n, rows x n, n), else all n
+  std::function<Variable(const std::vector<Variable>&)> op;
+  std::function<void(const std::vector<const Tensor*>& x, const Tensor& g,
+                     Tensor& y, const std::vector<Tensor*>& dx)>
+      reference;
+};
+
+std::vector<EwOracleCase> EwOracleCases() {
+  using Xs = std::vector<const Tensor*>;
+  using Dxs = std::vector<Tensor*>;
+  using Vars = std::vector<Variable>;
+  using Step = double (*)(double d, double g, double u, double v);
+  std::vector<EwOracleCase> cases;
+  // Binary ops: y = fwd(a, b), then da = step_a(da, g, a, b) and
+  // db = step_b(db, g, a, b), in that order.
+  const auto binary = [&cases](const std::string& name,
+                               Variable (*op)(const Variable&,
+                                              const Variable&),
+                               double (*fwd)(double, double), Step step_a,
+                               Step step_b) {
+    for (const std::vector<int>& uses :
+         {std::vector<int>{0, 1}, std::vector<int>{0, 0}}) {
+      cases.push_back(
+          {name + (uses[1] == 0 ? "(x, x)" : "(a, b)"), uses, false,
+           [op](const Vars& p) { return op(p[0], p[1]); },
+           [fwd, step_a, step_b](const Xs& x, const Tensor& g, Tensor& y,
+                                 const Dxs& dx) {
+             for (size_t i = 0; i < y.numel(); ++i) {
+               const double a = (*x[0])[i];
+               const double b = (*x[1])[i];
+               y[i] = fwd(a, b);
+               (*dx[0])[i] = step_a((*dx[0])[i], g[i], a, b);
+               (*dx[1])[i] = step_b((*dx[1])[i], g[i], a, b);
+             }
+           }});
+    }
+  };
+  binary(
+      "Add", Add, [](double a, double b) { return a + b; },
+      [](double d, double g, double, double) { return d + g; },
+      [](double d, double g, double, double) { return d + g; });
+  binary(
+      "Sub", Sub, [](double a, double b) { return a - b; },
+      [](double d, double g, double, double) { return d + g; },
+      [](double d, double g, double, double) { return d - g; });
+  binary(
+      "Mul", Mul, [](double a, double b) { return a * b; },
+      [](double d, double g, double, double b) { return d + g * b; },
+      [](double d, double g, double a, double) { return d + g * a; });
+  // Unary ops: y = fwd(x), then dx = step(dx, g, x, y).
+  const auto unary = [&cases](const std::string& name,
+                              Variable (*op)(const Variable&),
+                              double (*fwd)(double), Step step) {
+    cases.push_back({name, {0}, false,
+                     [op](const Vars& p) { return op(p[0]); },
+                     [fwd, step](const Xs& x, const Tensor& g, Tensor& y,
+                                 const Dxs& dx) {
+                       for (size_t i = 0; i < y.numel(); ++i) {
+                         y[i] = fwd((*x[0])[i]);
+                         double& d = (*dx[0])[i];
+                         d = step(d, g[i], (*x[0])[i], y[i]);
+                       }
+                     }});
+  };
+  unary(
+      "ScaleBy", [](const Variable& x) { return ScaleBy(x, -1.5); },
+      [](double x) { return x * -1.5; },
+      [](double d, double g, double, double) { return d + g * -1.5; });
+  unary(
+      "AddConst", [](const Variable& x) { return AddConst(x, 0.3); },
+      [](double x) { return x + 0.3; },
+      [](double d, double g, double, double) { return d + g; });
+  unary(
+      "OneMinus", OneMinus, [](double x) { return 1.0 - x; },
+      [](double d, double g, double, double) { return d - g; });
+  unary("Sigmoid", Sigmoid, ReferenceSigmoid,
+        [](double d, double g, double, double y) {
+          return d + g * (y * (1.0 - y));
+        });
+  unary(
+      "Tanh", Tanh, [](double x) { return std::tanh(x); },
+      [](double d, double g, double, double y) {
+        return d + g * (1.0 - y * y);
+      });
+  unary(
+      "Relu", Relu, [](double x) { return x > 0.0 ? x : 0.0; },
+      [](double d, double g, double x, double) {
+        return d + g * (x > 0.0 ? 1.0 : 0.0);
+      });
+  // Fused gates: y = act((a + b) + bias[j]), and the local gradient
+  // g * act'(y) goes to a, b and bias, rows ascending.
+  for (bool use_tanh : {false, true}) {
+    for (const std::vector<int>& uses :
+         {std::vector<int>{0, 1, 2}, std::vector<int>{0, 0, 1}}) {
+      const std::string name =
+          std::string(use_tanh ? "AddRowBiasTanh" : "AddRowBiasSigmoid") +
+          (uses[1] == 0 ? "(x, x, bias)" : "(a, b, bias)");
+      cases.push_back(
+          {name, uses, true,
+           [use_tanh](const Vars& p) {
+             return use_tanh ? AddRowBiasTanh(p[0], p[1], p[2])
+                             : AddRowBiasSigmoid(p[0], p[1], p[2]);
+           },
+           [use_tanh](const Xs& x, const Tensor& g, Tensor& y,
+                      const Dxs& dx) {
+             for (int i = 0; i < y.dim(0); ++i) {
+               for (int j = 0; j < y.dim(1); ++j) {
+                 const double pre = (x[0]->at(i, j) + x[1]->at(i, j)) +
+                                    (*x[2])[static_cast<size_t>(j)];
+                 const double v =
+                     use_tanh ? std::tanh(pre) : ReferenceSigmoid(pre);
+                 y.at(i, j) = v;
+                 const double local =
+                     use_tanh ? g.at(i, j) * (1.0 - v * v)
+                              : g.at(i, j) * (v * (1.0 - v));
+                 dx[0]->at(i, j) += local;
+                 dx[1]->at(i, j) += local;
+                 (*dx[2])[static_cast<size_t>(j)] += local;
+               }
+             }
+           }});
+    }
+  }
+  return cases;
+}
+
+// Runs the op's forward and its backward closure with upstream gradient
+// `g`, each leaf's gradient starting from `priors` as when the leaf also
+// feeds another op. Returns the value followed by every leaf's gradient.
+std::vector<Tensor> RunEwOp(const EwOracleCase& c,
+                            const std::vector<Tensor>& leaves,
+                            const std::vector<Tensor>& priors,
+                            const Tensor& g) {
+  std::vector<Variable> vars;
+  for (const Tensor& leaf : leaves) vars.emplace_back(leaf, true);
+  std::vector<Variable> parents;
+  for (int leaf : c.uses) parents.push_back(vars[static_cast<size_t>(leaf)]);
+  Variable y = c.op(parents);
+  for (size_t k = 0; k < vars.size(); ++k) vars[k].node()->grad = priors[k];
+  Node& node = *y.node();
+  node.grad = g;
+  node.backward_fn(node);
+  std::vector<Tensor> out = {y.value()};
+  for (const Variable& v : vars) out.push_back(v.grad());
+  return out;
+}
+
+TEST(ElementwiseOracle, BitwiseEqualToScalarFormulas) {
+  const core::kernels::Backend saved_backend = core::kernels::ActiveBackend();
+  const int saved_threads = core::GetNumThreads();
+  std::vector<core::kernels::Backend> backends = {
+      core::kernels::Backend::kScalar};
+  if (core::kernels::SimdAvailable()) {
+    backends.push_back(core::kernels::Backend::kSimd);
+  }
+  constexpr int kRows = 3;
+  const std::vector<EwOracleCase> cases = EwOracleCases();
+  for (size_t ci = 0; ci < cases.size(); ++ci) {
+    const EwOracleCase& c = cases[ci];
+    for (int n = 0; n <= 17; ++n) {
+      core::Rng rng(100 * ci + static_cast<std::uint64_t>(n));
+      const int num_leaves =
+          *std::max_element(c.uses.begin(), c.uses.end()) + 1;
+      std::vector<std::vector<int>> shapes(static_cast<size_t>(num_leaves),
+                                           std::vector<int>{n});
+      if (c.row_bias) {
+        for (size_t p = 0; p + 1 < c.uses.size(); ++p) {
+          shapes[static_cast<size_t>(c.uses[p])] = {kRows, n};
+        }
+      }
+      std::vector<Tensor> leaves, priors;
+      for (const std::vector<int>& shape : shapes) {
+        leaves.push_back(MixedTensor(shape, rng));
+        priors.push_back(MixedTensor(shape, rng));
+      }
+      const Tensor g = MixedTensor(shapes[0], rng);
+
+      std::vector<Tensor> want = {Tensor(shapes[0])};
+      for (const Tensor& prior : priors) want.push_back(prior);
+      std::vector<const Tensor*> x;
+      std::vector<Tensor*> dx;
+      for (int leaf : c.uses) {
+        x.push_back(&leaves[static_cast<size_t>(leaf)]);
+        dx.push_back(&want[static_cast<size_t>(leaf) + 1]);
+      }
+      c.reference(x, g, want[0], dx);
+
+      for (core::kernels::Backend backend : backends) {
+        core::kernels::SetBackend(backend);
+        for (int threads : {1, 2, 8}) {
+          core::SetNumThreads(threads);
+          const std::vector<Tensor> got = RunEwOp(c, leaves, priors, g);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t k = 0; k < got.size(); ++k) {
+            EXPECT_TRUE(SameBits(want[k], got[k]))
+                << c.name << (k == 0 ? " value" : " grad of leaf ")
+                << (k == 0 ? "" : std::to_string(k - 1)) << " n=" << n
+                << " " << core::kernels::BackendName(backend)
+                << " threads=" << threads;
+          }
         }
       }
     }

@@ -221,7 +221,7 @@ CHECK_BUDGET = {
     "src/augment/meboot.cc": 1,
     "src/augment/noise.cc": 1,
     "src/augment/oversample.cc": 4,
-    "src/augment/pipeline.cc": 3,
+    "src/augment/pipeline.cc": 2,
     "src/augment/preserving.cc": 3,
     "src/augment/timegan.cc": 5,
     "src/augment/vae.cc": 4,
@@ -235,8 +235,9 @@ CHECK_BUDGET = {
     "src/nn/layers.cc": 7,
     # ops.cc: +3 over the fault-tolerance freeze for the fused
     # AddRowBias{Sigmoid,Tanh} gate op's shape contracts — programmer-error
-    # invariants identical in kind to the unfused AddRowBias checks.
-    "src/nn/ops.cc": 45,
+    # invariants identical in kind to the unfused AddRowBias checks; -2 with
+    # ConcatFeatures, deleted as unreached.
+    "src/nn/ops.cc": 43,
     "src/nn/tensor.h": 3,
     "src/nn/trainer.cc": 8,
 }
