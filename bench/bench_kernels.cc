@@ -130,6 +130,20 @@ std::vector<Workload> BuildWorkloads() {
                          }});
   }
 
+  // Ridge LOOCV Gram X X^T at the Table IV dual shape (60 rows of 2000
+  // ROCKET features): the lower-triangle dot_panel tiles.
+  {
+    constexpr int kRows = 60, kCols = 2000;
+    Rng rng(15);
+    auto x = std::make_shared<tsaug::linalg::Matrix>(
+        RandomMatrix(kRows, kCols, rng));
+    workloads.push_back({"ridge_gram",
+                         static_cast<double>(kRows) * kCols * 8.0 +
+                             static_cast<double>(kRows) * kRows * 8.0,
+                         {1},
+                         [x] { tsaug::linalg::Gram(*x); }});
+  }
+
   // Conv1dSame forward: the InceptionTime inner loop (row_panel_matmul
   // over zero-padded rows).
   {

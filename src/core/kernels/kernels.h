@@ -9,12 +9,12 @@ namespace tsaug::core::kernels {
 ///
 /// This is the op/OpImpl seam (in the cavs style): each hot-loop
 /// *definition* lives at its call site (ROCKET transform, the MatMul
-/// family, the ridge eigensolver, Conv1dSame, the distance kernels, and
-/// InceptionTime's residual Add and ReLU) and names one entry below; the
-/// *implementations* live in kernels_scalar.cc (portable reference) and
-/// kernels_simd.cc (AVX2), selected once per process via
-/// `TSAUG_BACKEND=scalar|simd` or CPU auto-detection (default: the
-/// fastest available).
+/// family and the ridge Gram, the ridge eigensolver, Conv1dSame, the
+/// distance kernels, and InceptionTime's residual Add and ReLU) and names
+/// one entry below; the *implementations* live in kernels_scalar.cc
+/// (portable reference) and kernels_simd.cc (AVX2), selected once per
+/// process via `TSAUG_BACKEND=scalar|simd` or CPU auto-detection
+/// (default: the fastest available).
 ///
 /// An entry is here only because a benchmark workload runs measurably
 /// faster with its SIMD form than with a plain loop. Every other
@@ -51,13 +51,18 @@ struct KernelTable {
                            std::int64_t k, const double* b, std::int64_t ldb,
                            double* c, std::int64_t n);
 
-  /// out[r] = sum over t in [0, n) of a[t] * b[r*ldb + t] for r in
-  /// [0, rows), each sum from +0.0 in ascending-t order (dot-style panel:
-  /// MatVec / MatMulTransposeB). The rows may overlap (ldb < n): they are
-  /// only read, so Conv1dSame's dW passes its taps as rows of one padded
-  /// input row (ldb = dilation).
-  void (*dot_panel)(const double* a, const double* b, std::int64_t ldb,
-                    std::int64_t rows, std::int64_t n, double* out);
+  /// out[i*ldo + r] = sum over t in [0, n) of a[i*lda + t] * b[r*ldb + t]
+  /// for i in [0, a_rows) and r in [0, rows), each sum from +0.0 in
+  /// ascending-t order (dot-style panel). The b rows may overlap
+  /// (ldb < n): they are only read, so Conv1dSame's dW passes its taps as
+  /// rows of one padded input row (ldb = dilation, a_rows = 1; lda and ldo
+  /// are then unused). With a_rows > 1 this is a tile of A B^T, the form
+  /// `linalg::Gram` uses: the SIMD body transposes each 4x4 block of b
+  /// once and reuses it for four a rows, one accumulator per a row, so
+  /// every lane still sums its products in ascending-t order.
+  void (*dot_panel)(const double* a, std::int64_t lda, std::int64_t a_rows,
+                    const double* b, std::int64_t ldb, std::int64_t rows,
+                    std::int64_t n, double* out, std::int64_t ldo);
 
   /// Plane rotation of two rows: for i in [0, n), with x = x[i] and
   /// y = y[i], x[i] = c*x - s*y and y[i] = s*x + c*y (the eigensolver's
@@ -74,6 +79,10 @@ struct KernelTable {
   /// then ++*positive when act > 0, and *max_activation folds act in.
   /// The max fold is lane-blocked: order-insensitive for the finite
   /// activations this kernel sees, and both backends use the same order.
+  /// The SIMD body runs 16-position blocks (four registers side by side,
+  /// each weight broadcast once for all four loads), then one 8- and one
+  /// 4-position block, then the scalar tail; its registers join the count
+  /// and the max fold in ascending position order.
   void (*rocket_ppv_max)(const double* const* channels,
                          std::int64_t num_channels, const double* weights,
                          std::int64_t length, std::int64_t dilation,

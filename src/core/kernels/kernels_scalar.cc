@@ -24,13 +24,17 @@ void RowPanelMatMul(const double* a, std::int64_t a_stride, std::int64_t k,
   }
 }
 
-void DotPanel(const double* a, const double* b, std::int64_t ldb,
-              std::int64_t rows, std::int64_t n, double* out) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const double* br = b + r * ldb;
-    double sum = 0.0;
-    for (std::int64_t t = 0; t < n; ++t) sum += a[t] * br[t];
-    out[r] = sum;
+void DotPanel(const double* a, std::int64_t lda, std::int64_t a_rows,
+              const double* b, std::int64_t ldb, std::int64_t rows,
+              std::int64_t n, double* out, std::int64_t ldo) {
+  for (std::int64_t i = 0; i < a_rows; ++i) {
+    const double* ai = a + i * lda;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const double* br = b + r * ldb;
+      double sum = 0.0;
+      for (std::int64_t t = 0; t < n; ++t) sum += ai[t] * br[t];
+      out[i * ldo + r] = sum;
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 
 namespace tsaug::core::kernels {
@@ -108,11 +109,13 @@ void Transpose4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3,
   *v3 = _mm256_permute2f128_pd(t1, t3, 0x31);
 }
 
-void DotPanel(const double* a, const double* b, std::int64_t ldb,
-              std::int64_t rows, std::int64_t n, double* out) {
+/// One a row against `rows` b rows: four b rows share one accumulator
+/// register, and each lane's sum runs in ascending-t order from +0.0,
+/// matching the scalar reference dot per row.
+[[gnu::noinline]] void DotRow(const double* a, const double* b,
+                              std::int64_t ldb, std::int64_t rows,
+                              std::int64_t n, double* out) {
   std::int64_t r = 0;
-  // Four output rows share one accumulator register; each lane's sum runs
-  // in ascending-t order, matching the scalar reference dot per row.
   for (; r + 4 <= rows; r += 4) {
     const double* b0 = b + r * ldb;
     const double* b1 = b0 + ldb;
@@ -144,6 +147,73 @@ void DotPanel(const double* a, const double* b, std::int64_t ldb,
   }
 }
 
+/// Four a rows against four b rows: each 4x4 block of b is transposed
+/// once and multiplied into four independent accumulators, one per a row.
+/// Lane l of acc[i] adds a_i[t] * b_l[t] in ascending-t order from +0.0,
+/// the sequence DotRow and the scalar reference run for (a_i, b_l).
+void DotTile4x4(const double* a, std::int64_t lda, const double* b,
+                std::int64_t ldb, std::int64_t n, double* out,
+                std::int64_t ldo) {
+  const double* ar[4] = {a, a + lda, a + 2 * lda, a + 3 * lda};
+  const double* b0 = b;
+  const double* b1 = b0 + ldb;
+  const double* b2 = b1 + ldb;
+  const double* b3 = b2 + ldb;
+  __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                    _mm256_setzero_pd(), _mm256_setzero_pd()};
+  std::int64_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    __m256d v[4];
+    Transpose4x4(_mm256_loadu_pd(b0 + t), _mm256_loadu_pd(b1 + t),
+                 _mm256_loadu_pd(b2 + t), _mm256_loadu_pd(b3 + t),
+                 &v[0], &v[1], &v[2], &v[3]);
+    for (int k = 0; k < 4; ++k) {
+      for (int i = 0; i < 4; ++i) {
+        acc[i] = _mm256_add_pd(
+            acc[i], _mm256_mul_pd(_mm256_set1_pd(ar[i][t + k]), v[k]));
+      }
+    }
+  }
+  for (; t < n; ++t) {
+    const __m256d v = _mm256_set_pd(b3[t], b2[t], b1[t], b0[t]);
+    for (int i = 0; i < 4; ++i) {
+      acc[i] = _mm256_add_pd(acc[i],
+                             _mm256_mul_pd(_mm256_set1_pd(ar[i][t]), v));
+    }
+  }
+  for (int i = 0; i < 4; ++i) _mm256_storeu_pd(out + i * ldo, acc[i]);
+}
+
+/// The tile form for a_rows > 1: 4x4 tiles over four a rows at a time,
+/// DotRow for the last rows % 4 b rows and the last a_rows % 4 a rows.
+[[gnu::noinline]] void DotTiles(const double* a, std::int64_t lda,
+                                std::int64_t a_rows, const double* b,
+                                std::int64_t ldb, std::int64_t rows,
+                                std::int64_t n, double* out,
+                                std::int64_t ldo) {
+  std::int64_t i = 0;
+  for (; i + 4 <= a_rows; i += 4) {
+    std::int64_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+      DotTile4x4(a + i * lda, lda, b + r * ldb, ldb, n, out + i * ldo + r,
+                 ldo);
+    }
+    for (std::int64_t ii = i; ii < i + 4; ++ii) {
+      DotRow(a + ii * lda, b + r * ldb, ldb, rows - r, n, out + ii * ldo + r);
+    }
+  }
+  for (; i < a_rows; ++i) DotRow(a + i * lda, b, ldb, rows, n, out + i * ldo);
+}
+
+// One a row is Conv1dSame's dW call, short and frequent: it tail-calls
+// DotRow with no tile bookkeeping (or its register saves) in front.
+void DotPanel(const double* a, std::int64_t lda, std::int64_t a_rows,
+              const double* b, std::int64_t ldb, std::int64_t rows,
+              std::int64_t n, double* out, std::int64_t ldo) {
+  if (a_rows == 1) return DotRow(a, b, ldb, rows, n, out);
+  DotTiles(a, lda, a_rows, b, ldb, rows, n, out, ldo);
+}
+
 void RotateRows(double c, double s, double* x, double* y, std::int64_t n) {
   const __m256d cv = _mm256_set1_pd(c);
   const __m256d sv = _mm256_set1_pd(s);
@@ -166,32 +236,64 @@ void RotateRows(double c, double s, double* x, double* y, std::int64_t n) {
 
 // --- ROCKET convolution + PPV/max -------------------------------------------
 
+/// kRegs registers of four consecutive positions each, from `pos`: every
+/// weight is broadcast once and multiplied into each register's load, so
+/// the kRegs add chains run side by side while each lane still adds its
+/// (channel, tap) products in the scalar reference's order. The registers
+/// then join the positive count and the running lane maxima in ascending
+/// position order, the same max_pd sequence as one register at a time.
+template <std::size_t kRegs>
+void RocketBlock(const double* const* channels, std::int64_t num_channels,
+                 const double* weights, std::int64_t length,
+                 std::int64_t dilation, double bias, std::int64_t pos,
+                 std::int64_t* pos_count, __m256d* vmax) {
+  __m256d act[kRegs];
+  for (std::size_t r = 0; r < kRegs; ++r) act[r] = _mm256_set1_pd(bias);
+  for (std::int64_t c = 0; c < num_channels; ++c) {
+    const double* w = weights + c * length;
+    const double* x = channels[c] + pos;
+    for (std::int64_t tap = 0; tap < length; ++tap) {
+      const __m256d wv = _mm256_set1_pd(w[tap]);
+      const double* xt = x + tap * dilation;
+      for (std::size_t r = 0; r < kRegs; ++r) {
+        act[r] = _mm256_add_pd(
+            act[r], _mm256_mul_pd(wv, _mm256_loadu_pd(xt + 4 * r)));
+      }
+    }
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t r = 0; r < kRegs; ++r) {
+    const int gt =
+        _mm256_movemask_pd(_mm256_cmp_pd(act[r], zero, _CMP_GT_OQ));
+    *pos_count += __builtin_popcount(static_cast<unsigned>(gt));
+    *vmax = _mm256_max_pd(*vmax, act[r]);
+  }
+}
+
 void RocketPpvMax(const double* const* channels, std::int64_t num_channels,
                   const double* weights, std::int64_t length,
                   std::int64_t dilation, double bias, std::int64_t pos_lo,
                   std::int64_t pos_hi, std::int64_t* positive,
                   double* max_activation) {
-  const __m256d zero = _mm256_setzero_pd();
   std::int64_t pos = pos_lo;
   std::int64_t pos_count = 0;
   __m256d vmax = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  // Four consecutive positions per register: each lane's activation adds
-  // its (channel, tap) products in the scalar reference's order, and four
-  // positions' tap loads are one unaligned vector load (stride 1 in pos).
-  for (; pos + 4 <= pos_hi; pos += 4) {
-    __m256d act = _mm256_set1_pd(bias);
-    for (std::int64_t c = 0; c < num_channels; ++c) {
-      const double* w = weights + c * length;
-      const double* x = channels[c] + pos;
-      for (std::int64_t tap = 0; tap < length; ++tap) {
-        act = _mm256_add_pd(
-            act, _mm256_mul_pd(_mm256_set1_pd(w[tap]),
-                               _mm256_loadu_pd(x + tap * dilation)));
-      }
-    }
-    const int gt = _mm256_movemask_pd(_mm256_cmp_pd(act, zero, _CMP_GT_OQ));
-    pos_count += __builtin_popcount(static_cast<unsigned>(gt));
-    vmax = _mm256_max_pd(vmax, act);
+  // Four consecutive positions per register (stride 1 in pos, so one
+  // unaligned load per tap): 16-position blocks keep four independent add
+  // chains in flight, then at most one 8- and one 4-position block.
+  for (; pos + 16 <= pos_hi; pos += 16) {
+    RocketBlock<4>(channels, num_channels, weights, length, dilation, bias,
+                   pos, &pos_count, &vmax);
+  }
+  if (pos + 8 <= pos_hi) {
+    RocketBlock<2>(channels, num_channels, weights, length, dilation, bias,
+                   pos, &pos_count, &vmax);
+    pos += 8;
+  }
+  if (pos + 4 <= pos_hi) {
+    RocketBlock<1>(channels, num_channels, weights, length, dilation, bias,
+                   pos, &pos_count, &vmax);
+    pos += 4;
   }
   // Fold the lane maxima in lane order, then finish the tail positions
   // with the scalar reference loop (same fold the scalar backend applies

@@ -135,42 +135,38 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
-  TSAUG_CHECK(a.cols() == b.cols());
-  TSAUG_TRACE_SCOPE("linalg.matmul_tb");
-  Matrix c(a.rows(), b.rows());
-  // Each output row i is owned by one chunk; the inner k-sum runs in
-  // ascending order, so the result is deterministic at any thread count.
-  if (a.empty() || b.empty()) return c;  // all sums empty; C stays zero
+Matrix Gram(const Matrix& x) {
+  TSAUG_TRACE_SCOPE("linalg.gram");
+  const int m = x.rows();
+  Matrix g(m, m);
+  if (x.empty()) return g;  // all sums empty; G stays zero
   const auto& kt = core::kernels::Active();
-  const double* b0 = b.row_data(0);
+  const std::int64_t n = x.cols();
+  const double* x0 = x.row_data(0);
+  double* g0 = g.row_data(0);
+  // Rows go in blocks of four: block b owns G rows [4b, 4b + 4) and fills
+  // their columns up to the block's diagonal as one dot_panel tile. Block
+  // cost grows with b, so blocks are handed out heaviest first and
+  // ParallelFor's dynamic chunks balance the triangle. Each entry is one
+  // ascending-t sum, owned by one block: deterministic at any thread count.
+  const std::int64_t blocks = (m + 3) / 4;
   core::ParallelFor(
-      0, a.rows(),
-      RowGrain(static_cast<std::int64_t>(a.cols()) * b.rows()),
+      0, blocks, RowGrain(2 * n * (m + 4)),
       [&](std::int64_t lo, std::int64_t hi) {
-        for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
-          kt.dot_panel(a.row_data(i), b0, b.cols(), b.rows(), a.cols(),
-                       c.row_data(i));
+        for (std::int64_t k = lo; k < hi; ++k) {
+          const std::int64_t i0 = 4 * (blocks - 1 - k);
+          const std::int64_t a_rows = std::min<std::int64_t>(4, m - i0);
+          kt.dot_panel(x0 + i0 * n, n, a_rows, x0, n, i0 + a_rows, n,
+                       g0 + i0 * m, m);
         }
       });
-  return c;
-}
-
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x) {
-  TSAUG_CHECK(a.cols() == static_cast<int>(x.size()));
-  TSAUG_TRACE_SCOPE("linalg.matvec");
-  std::vector<double> y(static_cast<size_t>(a.rows()), 0.0);
-  // Each y[i] is owned by one chunk and accumulated in ascending-j order:
-  // deterministic at any thread count.
-  if (a.empty()) return y;  // every sum is empty; y stays zero
-  const auto& kt = core::kernels::Active();
-  core::ParallelFor(
-      0, a.rows(), RowGrain(a.cols()),
-      [&](std::int64_t lo, std::int64_t hi) {
-        kt.dot_panel(x.data(), a.row_data(static_cast<int>(lo)), a.cols(),
-                     hi - lo, a.cols(), y.data() + lo);
-      });
-  return y;
+  // x_i[t] * x_j[t] == x_j[t] * x_i[t] exactly, so G(j, i) for i < j is
+  // the sum G(i, j) would have been; mirror the lower triangle (and the
+  // diagonal blocks' upper corners) serially.
+  for (int i = 0; i < m; ++i) {
+    for (int j = i + 1; j < m; ++j) g(i, j) = g(j, i);
+  }
+  return g;
 }
 
 Matrix Add(const Matrix& a, const Matrix& b) {

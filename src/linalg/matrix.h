@@ -89,10 +89,11 @@ class Matrix {
 Matrix MatMul(const Matrix& a, const Matrix& b);
 /// C = A^T * B without materialising A^T.
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
-/// C = A * B^T without materialising B^T.
-Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
-/// y = A * x.
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& x);
+/// G = X * X^T (rows x rows, symmetric): G(i, j) sums X(i, t) * X(j, t)
+/// from +0.0 in ascending-t order. Only the lower triangle is computed;
+/// the upper is its mirror, bit-exact for finite X because both triangles
+/// of X X^T add the same products in the same order.
+Matrix Gram(const Matrix& x);
 
 Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);

@@ -17,7 +17,7 @@ CenteredRidgeProblem::CenteredRidgeProblem(const Matrix& x, const Matrix& y,
   TSAUG_CHECK(x.rows() > 0);
   xc.CenterColumns(x_means);
   yc.CenterColumns(y_means);
-  if (with_gram) gram = MatMulTransposeB(xc, xc);
+  if (with_gram) gram = Gram(xc);
 }
 
 core::Status RidgeRegression::TryFit(const Matrix& x, const Matrix& y,
@@ -48,8 +48,7 @@ core::Status RidgeRegression::TryFit(const CenteredRidgeProblem& problem,
     weights_ = std::move(solved).value();
   } else {
     // Dual: (Xc Xc^T + aI) C = Yc, W = Xc^T C.
-    Matrix gram =
-        problem.gram.empty() ? MatMulTransposeB(xc, xc) : problem.gram;
+    Matrix gram = problem.gram.empty() ? Gram(xc) : problem.gram;
     AddDiagonal(gram, alpha);
     core::StatusOr<Matrix> solved = TryCholeskySolveJittered(gram, yc);
     if (!solved.ok()) {

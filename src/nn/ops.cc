@@ -543,15 +543,15 @@ Variable Conv1dSame(const Variable& x, const Variable& w, int dilation) {
               const double* xi =
                   xrows + static_cast<std::ptrdiff_t>(i) * c * stride;
               if (k == 1) {
-                kb.dot_panel(g, xi, stride, c, time, taps.data());
+                kb.dot_panel(g, 0, 1, xi, stride, c, time, taps.data(), 0);
                 kb.ew_add_acc(taps.data(), gw, c);
                 continue;
               }
               const bool finite_g = AllFinite(g, time);
               for (int ch = 0; ch < c; ++ch) {
                 if (finite_g) {
-                  kb.dot_panel(g, xi + ch * stride, dilation, k, time,
-                               taps.data());
+                  kb.dot_panel(g, 0, 1, xi + ch * stride, dilation, k, time,
+                               taps.data(), 0);
                 } else {
                   for (int tap = 0; tap < k; ++tap) {
                     const int shift = tap * dilation - pad_left;
@@ -560,8 +560,9 @@ Variable Conv1dSame(const Variable& x, const Variable& w, int dilation) {
                     double& dw = taps[static_cast<size_t>(tap)];
                     dw = 0.0;
                     if (t_lo >= t_hi) continue;
-                    kb.dot_panel(g + t_lo, px.value.row3(i, ch) + t_lo + shift,
-                                 0, 1, t_hi - t_lo, &dw);
+                    kb.dot_panel(g + t_lo, 0, 1,
+                                 px.value.row3(i, ch) + t_lo + shift, 0, 1,
+                                 t_hi - t_lo, &dw, 0);
                   }
                 }
                 kb.ew_add_acc(taps.data(), gw + ch * k, k);

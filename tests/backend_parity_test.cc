@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -101,17 +102,13 @@ TEST(BackendParity, MatMulFamily) {
   const linalg::Matrix at = RandomMatrix(9, 17, 2, /*zero_fraction=*/0.3);
   const linalg::Matrix b = RandomMatrix(9, 13, 3);
   const linalg::Matrix bt = RandomMatrix(13, 9, 4);
-  core::Rng rng(5);
-  std::vector<double> x(9);
-  for (double& v : x) v = rng.Normal();
 
   ExpectBackendParity([&] {
     std::vector<double> out;
     Append(out, linalg::MatMul(a, b));
     Append(out, linalg::MatMulTransposeA(at, b));
-    Append(out, linalg::MatMulTransposeB(a, bt));
-    const std::vector<double> y = linalg::MatVec(a, x);
-    out.insert(out.end(), y.begin(), y.end());
+    Append(out, linalg::MatMul(a, bt.Transposed()));
+    Append(out, linalg::Gram(a));
     return out;
   });
 }
@@ -197,12 +194,124 @@ TEST(BackendParity, PanelKernelsOnStridedRows) {
           for (double& v : x) v = rng.Normal();
           std::vector<double> outs(static_cast<size_t>(panels));
           std::vector<double> outv(static_cast<size_t>(panels));
-          scalar.dot_panel(x.data() + c_offset, b0, ldb, panels, n,
-                           outs.data());
-          simd.dot_panel(x.data() + c_offset, b0, ldb, panels, n, outv.data());
+          scalar.dot_panel(x.data() + c_offset, 0, 1, b0, ldb, panels, n,
+                           outs.data(), 0);
+          simd.dot_panel(x.data() + c_offset, 0, 1, b0, ldb, panels, n,
+                         outv.data(), 0);
           EXPECT_EQ(0, std::memcmp(outs.data(), outv.data(),
                                    outs.size() * sizeof(double)))
               << "dot_panel " << where;
+        }
+      }
+    }
+  }
+}
+
+// rocket_ppv_max runs 16-, 8- and 4-position register blocks before its
+// scalar tail, so every range length from 0 to 40 hits each mix of them.
+// Each channel is its own buffer ending at the last tap the range reads:
+// an over-read fails under AddressSanitizer.
+TEST(BackendParity, RocketPpvMaxEveryBlockMix) {
+  SKIP_WITHOUT_SIMD();
+  const kernels::KernelTable& scalar = kernels::ScalarKernels();
+  const kernels::KernelTable& simd = *kernels::SimdKernels();
+  core::Rng rng(20);
+  for (int channels = 1; channels <= 4; ++channels) {
+    for (int length : {7, 9, 11}) {
+      for (int dilation = 1; dilation <= 4; ++dilation) {
+        for (int span = 0; span <= 40; ++span) {
+          const int pos_lo = span % 3;
+          const int pos_hi = pos_lo + span;
+          std::vector<std::vector<double>> rows(
+              static_cast<size_t>(channels),
+              std::vector<double>(
+                  static_cast<size_t>(pos_hi + (length - 1) * dilation)));
+          std::vector<const double*> ptrs;
+          for (std::vector<double>& row : rows) {
+            for (double& v : row) v = rng.Normal();
+            ptrs.push_back(row.data());
+          }
+          std::vector<double> weights(static_cast<size_t>(channels * length));
+          for (double& v : weights) v = rng.Normal();
+          const double bias = rng.Normal();
+
+          std::int64_t count_s = 0, count_v = 0;
+          double max_s = -std::numeric_limits<double>::infinity();
+          double max_v = max_s;
+          scalar.rocket_ppv_max(ptrs.data(), channels, weights.data(), length,
+                                dilation, bias, pos_lo, pos_hi, &count_s,
+                                &max_s);
+          simd.rocket_ppv_max(ptrs.data(), channels, weights.data(), length,
+                              dilation, bias, pos_lo, pos_hi, &count_v,
+                              &max_v);
+          const std::string where = "channels=" + std::to_string(channels) +
+                                    " length=" + std::to_string(length) +
+                                    " dilation=" + std::to_string(dilation) +
+                                    " span=" + std::to_string(span);
+          EXPECT_EQ(0, std::memcmp(&count_s, &count_v, sizeof(count_s)))
+              << "positive count " << where;
+          EXPECT_EQ(0, std::memcmp(&max_s, &max_v, sizeof(max_s)))
+              << "max " << where;
+        }
+      }
+    }
+  }
+}
+
+/// Draws where summation order shows in the bits: signed zeros,
+/// subnormals and +-800 beside N(0, 1).
+double MixedValue(core::Rng& rng) {
+  switch (rng.Int(0, 5)) {
+    case 0:
+      return rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    case 1:
+      return rng.Uniform(-1.0, 1.0) * std::numeric_limits<double>::denorm_min() *
+             1e6;
+    case 2:
+      return rng.Bernoulli(0.5) ? 800.0 : -800.0;
+    default:
+      return rng.Normal();
+  }
+}
+
+// dot_panel's tile form: out[i*ldo + r] = dot(a row i, b row r), each from
+// +0.0 in ascending-t order. Both tables must equal a naive loop for every
+// a-row count (the SIMD 4x4 tiles and their row and column remainders),
+// and leave the padding between output rows untouched.
+TEST(BackendParity, DotPanelTileMatchesNaiveLoop) {
+  SKIP_WITHOUT_SIMD();
+  const kernels::KernelTable& scalar = kernels::ScalarKernels();
+  const kernels::KernelTable& simd = *kernels::SimdKernels();
+  core::Rng rng(21);
+  for (int a_rows = 1; a_rows <= 9; ++a_rows) {
+    for (int rows = 0; rows <= 13; ++rows) {
+      for (int n = 0; n <= 9; ++n) {
+        const int lda = n + 1, ldb = n + 2, ldo = rows + 3;
+        std::vector<double> a(static_cast<size_t>(a_rows * lda));
+        std::vector<double> b(static_cast<size_t>(rows * ldb));
+        for (double& v : a) v = MixedValue(rng);
+        for (double& v : b) v = MixedValue(rng);
+        std::vector<double> naive(static_cast<size_t>(a_rows * ldo), -7.0);
+        for (int i = 0; i < a_rows; ++i) {
+          for (int r = 0; r < rows; ++r) {
+            double sum = 0.0;
+            for (int t = 0; t < n; ++t) {
+              sum += a[static_cast<size_t>(i * lda + t)] *
+                     b[static_cast<size_t>(r * ldb + t)];
+            }
+            naive[static_cast<size_t>(i * ldo + r)] = sum;
+          }
+        }
+        const std::string where = "a_rows=" + std::to_string(a_rows) +
+                                  " rows=" + std::to_string(rows) +
+                                  " n=" + std::to_string(n);
+        for (const kernels::KernelTable* table : {&scalar, &simd}) {
+          std::vector<double> out(naive.size(), -7.0);
+          table->dot_panel(a.data(), lda, a_rows, b.data(), ldb, rows, n,
+                           out.data(), ldo);
+          EXPECT_EQ(0, std::memcmp(naive.data(), out.data(),
+                                   out.size() * sizeof(double)))
+              << (table == &scalar ? "scalar " : "simd ") << where;
         }
       }
     }

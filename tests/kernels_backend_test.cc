@@ -114,7 +114,7 @@ TEST(BackendTest, ConcurrentSetAndReadStaysCoherent) {
         }
         const KernelTable& kt = Active();
         // Exercise a real entry through whichever table was observed.
-        kt.dot_panel(x, y, 0, 1, 4, &dot);
+        kt.dot_panel(x, 0, 1, y, 0, 1, 4, &dot, 0);
         if (dot != 70.0) bad.fetch_add(1, std::memory_order_relaxed);
       }
     });

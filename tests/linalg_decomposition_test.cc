@@ -33,7 +33,7 @@ TEST(Cholesky, FactorReconstructs) {
   Matrix a = RandomSpd(6, rng);
   Matrix l = a;
   ASSERT_TRUE(CholeskyFactor(l));
-  EXPECT_LT(MaxAbsDiff(MatMulTransposeB(l, l), a), 1e-9);
+  EXPECT_LT(MaxAbsDiff(MatMul(l, l.Transposed()), a), 1e-9);
 }
 
 TEST(Cholesky, RejectsIndefinite) {
@@ -84,7 +84,7 @@ TEST(SymmetricEigen, ReconstructsMatrix) {
   for (int i = 0; i < vw.rows(); ++i) {
     for (int j = 0; j < vw.cols(); ++j) vw(i, j) *= w[static_cast<size_t>(j)];
   }
-  EXPECT_LT(MaxAbsDiff(MatMulTransposeB(vw, v), a), 1e-8);
+  EXPECT_LT(MaxAbsDiff(MatMul(vw, v.Transposed()), a), 1e-8);
 }
 
 TEST(SymmetricEigen, VectorsOrthonormal) {
@@ -165,7 +165,7 @@ Matrix RandomGram(int rows, int cols, std::uint64_t seed) {
   core::Rng rng(seed);
   Matrix x(rows, cols);
   for (double& v : x.data()) v = rng.Normal();
-  return MatMulTransposeB(x, x);
+  return Gram(x);
 }
 
 /// Runs `body` under every available backend at 1, 2 and 8 threads, then

