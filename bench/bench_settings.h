@@ -1,6 +1,7 @@
-// The TSAUG_* settings the grid benches start from, with eval/report.h
-// for the rest of their API. A malformed value is a usage error: the bench
-// prints the Status and exits 1 before any work.
+// The TSAUG_* settings and command-line flags the grid benches start
+// from, with eval/report.h for the rest of their API. A malformed value is
+// a usage error: the bench prints the Status and exits before any work, 1
+// for an environment variable and 2 for a flag.
 #ifndef TSAUG_BENCH_BENCH_SETTINGS_H_
 #define TSAUG_BENCH_BENCH_SETTINGS_H_
 
@@ -19,6 +20,15 @@ inline eval::BenchSettings ReadSettingsOrExit() {
     std::exit(1);
   }
   return std::move(settings).value();
+}
+
+inline void ApplyGridFlagsOrExit(int argc, char** argv,
+                                 eval::BenchSettings& settings) {
+  const core::Status parsed = eval::ApplyGridFlags(argc, argv, settings);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
+    std::exit(2);
+  }
 }
 
 }  // namespace tsaug::bench

@@ -6,11 +6,13 @@
 #define TSAUG_BENCH_FIG_DEMO_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "augment/augmenter.h"
 #include "core/dataset.h"
+#include "core/flags.h"
 #include "core/io.h"
 #include "core/rng.h"
 #include "core/trace.h"
@@ -18,17 +20,21 @@
 
 namespace tsaug::bench {
 
-/// Parses `--trace-json <path>` from the bench's argv; when present,
-/// enables tracing (core/trace.h) and returns the output path (empty
-/// otherwise). Call once at the top of main().
+/// Parses `--trace-json <path>` (or `--trace-json=<path>`) from the
+/// bench's argv; when present, enables tracing (core/trace.h) and returns
+/// the output path (empty otherwise). Any other argument, or the flag
+/// without a path, prints the Status and exits 2. Call once at the top of
+/// main().
 inline std::string EnableTraceFromArgs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trace-json") {
-      core::trace::Enable();
-      return argv[i + 1];
-    }
+  std::string path;
+  const core::Status parsed =
+      core::ParseFlags(argc, argv, {core::StringFlag("--trace-json", &path)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
+    std::exit(2);
   }
-  return "";
+  if (!path.empty()) core::trace::Enable();
+  return path;
 }
 
 /// Writes the merged JSON trace report to `path` (no-op on an empty path,

@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   tsaug::core::InstallStopSignalHandlers();
   tsaug::eval::BenchSettings settings = tsaug::bench::ReadSettingsOrExit();
-  tsaug::eval::ApplyGridFlags(argc, argv, settings);
+  tsaug::bench::ApplyGridFlagsOrExit(argc, argv, settings);
   const tsaug::core::StatusOr<tsaug::eval::StudyResult> study =
       tsaug::eval::RunStudy(settings, tsaug::eval::ModelKind::kRocket);
   if (!study.ok()) {

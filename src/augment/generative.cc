@@ -28,30 +28,12 @@ linalg::Matrix ClassMatrix(const core::Dataset& train, int label,
 
 }  // namespace
 
-core::StatusOr<std::vector<core::TimeSeries>> GaussianGenerator::DoGenerate(
-    const core::Dataset& train, int label, int count, core::Rng& rng) {
-  int channels = 0;
-  int length = 0;
-  const linalg::Matrix points = ClassMatrix(train, label, &channels, &length);
-  if (points.empty()) {
-    return core::DegenerateInputError("gaussian_gen: class " +
-                                      std::to_string(label) + " empty");
-  }
+core::Status AppendGaussianDraws(const linalg::Matrix& points, int count,
+                                 int channels, int length,
+                                 const std::string& what, core::Rng& rng,
+                                 std::vector<core::TimeSeries>& out) {
   const int dims = points.cols();
   const std::vector<double> mean = points.ColMeans();
-
-  std::vector<core::TimeSeries> out;
-  out.reserve(static_cast<size_t>(count));
-  if (points.rows() < 2) {
-    // One sample: no covariance; jitter lightly.
-    for (int i = 0; i < count; ++i) {
-      std::vector<double> sample = points.Row(0);
-      for (double& v : sample) v += rng.Normal(0.0, 1e-3);
-      out.push_back(core::TimeSeries::FromFlat(sample, channels, length));
-    }
-    return out;
-  }
-
   linalg::Matrix sigma = linalg::ShrinkageCovariance(points);
   linalg::AddDiagonal(sigma, 1e-9);
   linalg::Matrix factor = sigma;
@@ -60,7 +42,7 @@ core::StatusOr<std::vector<core::TimeSeries>> GaussianGenerator::DoGenerate(
     factor = sigma;
     if (!linalg::CholeskyFactor(factor)) {
       return core::SingularError(
-          "gaussian_gen: class covariance not SPD after regularisation");
+          what + " covariance not SPD after regularisation");
     }
   }
 
@@ -76,6 +58,32 @@ core::StatusOr<std::vector<core::TimeSeries>> GaussianGenerator::DoGenerate(
     }
     out.push_back(core::TimeSeries::FromFlat(sample, channels, length));
   }
+  return core::OkStatus();
+}
+
+core::StatusOr<std::vector<core::TimeSeries>> GaussianGenerator::DoGenerate(
+    const core::Dataset& train, int label, int count, core::Rng& rng) {
+  int channels = 0;
+  int length = 0;
+  const linalg::Matrix points = ClassMatrix(train, label, &channels, &length);
+  if (points.empty()) {
+    return core::DegenerateInputError("gaussian_gen: class " +
+                                      std::to_string(label) + " empty");
+  }
+  std::vector<core::TimeSeries> out;
+  out.reserve(static_cast<size_t>(count));
+  if (points.rows() < 2) {
+    // One sample: no covariance; jitter lightly.
+    for (int i = 0; i < count; ++i) {
+      std::vector<double> sample = points.Row(0);
+      for (double& v : sample) v += rng.Normal(0.0, 1e-3);
+      out.push_back(core::TimeSeries::FromFlat(sample, channels, length));
+    }
+    return out;
+  }
+
+  TSAUG_RETURN_IF_ERROR(AppendGaussianDraws(
+      points, count, channels, length, "gaussian_gen: class", rng, out));
   return out;
 }
 

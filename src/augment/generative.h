@@ -2,10 +2,24 @@
 #define TSAUG_AUGMENT_GENERATIVE_H_
 
 #include <string>
+#include <vector>
 
 #include "augment/augmenter.h"
+#include "linalg/matrix.h"
 
 namespace tsaug::augment {
+
+/// Appends `count` draws mean + L z to `out`, each reshaped to channels x
+/// length, with z ~ N(0, I) drawn one dimension after another. mean and
+/// L L^T are the column means and the shrinkage covariance of the rows of
+/// `points` (at least two), factored by Cholesky with 1e-9 diagonal
+/// jitter, then 1e-4 more if that fails; kSingular, prefixed by `what`,
+/// if both fail. GaussianGenerator samples a class this way and Ohit each
+/// of its clusters.
+[[nodiscard]] core::Status AppendGaussianDraws(
+    const linalg::Matrix& points, int count, int channels, int length,
+    const std::string& what, core::Rng& rng,
+    std::vector<core::TimeSeries>& out);
 
 /// Statistical generative model: fits a multivariate Gaussian (shrinkage
 /// covariance over flattened series) per class and samples from it — the

@@ -6,8 +6,8 @@
 #include <string>
 
 #include "core/cancel.h"
+#include "augment/generative.h"
 #include "core/preprocess.h"
-#include "linalg/decomposition.h"
 #include "linalg/distance.h"
 #include "linalg/knn.h"
 
@@ -174,13 +174,6 @@ core::StatusOr<std::vector<core::TimeSeries>> Ohit::DoGenerate(
     if (quota[static_cast<size_t>(c)] == 0) continue;
     const std::vector<int>& members = clusters[static_cast<size_t>(c)];
 
-    // Cluster mean.
-    std::vector<double> mean(static_cast<size_t>(dims), 0.0);
-    for (int m : members) {
-      for (int d = 0; d < dims; ++d) mean[static_cast<size_t>(d)] += view.class_points[static_cast<size_t>(m)][static_cast<size_t>(d)];
-    }
-    for (double& v : mean) v /= static_cast<double>(members.size());
-
     if (members.size() < 2) {
       // Singleton cluster: jitter around the point at 5% of its scale.
       const std::vector<double>& x = view.class_points[static_cast<size_t>(members[0])];
@@ -194,37 +187,14 @@ core::StatusOr<std::vector<core::TimeSeries>> Ohit::DoGenerate(
       continue;
     }
 
-    // Shrinkage covariance of the cluster, factored once per cluster.
+    // Shrinkage-covariance Gaussian of the cluster, factored once.
     linalg::Matrix points(static_cast<int>(members.size()), dims);
     for (size_t r = 0; r < members.size(); ++r) {
       points.SetRow(static_cast<int>(r), view.class_points[static_cast<size_t>(members[r])]);
     }
-    linalg::Matrix sigma = linalg::ShrinkageCovariance(points);
-    linalg::AddDiagonal(sigma, 1e-9);
-    linalg::Matrix factor = sigma;
-    if (!linalg::CholeskyFactor(factor)) {
-      linalg::AddDiagonal(sigma, 1e-4);
-      factor = sigma;
-      if (!linalg::CholeskyFactor(factor)) {
-        return core::SingularError(
-            "ohit: cluster covariance not SPD after regularisation");
-      }
-    }
-
-    for (int q = 0; q < quota[static_cast<size_t>(c)]; ++q) {
-      // sample = mean + L z with z ~ N(0, I).
-      std::vector<double> z(static_cast<size_t>(dims));
-      for (double& v : z) v = rng.Normal();
-      std::vector<double> sample = mean;
-      for (int row = 0; row < dims; ++row) {
-        double dot = 0.0;
-        const double* l = factor.row_data(row);
-        for (int col = 0; col <= row; ++col) dot += l[col] * z[static_cast<size_t>(col)];
-        sample[static_cast<size_t>(row)] += dot;
-      }
-      out.push_back(
-          core::TimeSeries::FromFlat(sample, view.channels, view.length));
-    }
+    TSAUG_RETURN_IF_ERROR(AppendGaussianDraws(
+        points, quota[static_cast<size_t>(c)], view.channels, view.length,
+        "ohit: cluster", rng, out));
   }
   return out;
 }

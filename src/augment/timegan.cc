@@ -17,6 +17,14 @@ namespace tsaug::augment {
 using nn::Tensor;
 using nn::Variable;
 
+namespace {
+
+// Weight of the unsupervised adversarial terms on the generator's
+// pre-supervisor output E_hat (Yoon et al.'s gamma).
+constexpr double kGamma = 1.0;
+
+}  // namespace
+
 TimeGanConfig PaperScaleTimeGanConfig() {
   TimeGanConfig config;
   config.embedding_iterations = 2500;
@@ -271,7 +279,7 @@ core::Status TimeGan::TryFit(const std::vector<core::TimeSeries>& series) {
       Variable loss = nn::Add(
           nn::Add(nn::BceWithLogitsLoss(y_fake, ones),
                   nn::ScaleBy(nn::BceWithLogitsLoss(y_fake_e, ones),
-                              config_.gamma)),
+                              kGamma)),
           nn::Add(nn::ScaleBy(nn::Sqrt(supervised), 100.0),
                   nn::ScaleBy(moments, 100.0)));
       loss.Backward();
@@ -314,7 +322,7 @@ core::Status TimeGan::TryFit(const std::vector<core::TimeSeries>& series) {
           nn::BceWithLogitsLoss(y_real, ones),
           nn::Add(nn::BceWithLogitsLoss(y_fake, zeros),
                   nn::ScaleBy(nn::BceWithLogitsLoss(y_fake_e, zeros),
-                              config_.gamma)));
+                              kGamma)));
       diagnostics_.discriminator_loss = loss.value().scalar();
       if (!std::isfinite(diagnostics_.discriminator_loss)) {
         return core::DivergedError(

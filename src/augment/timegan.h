@@ -11,14 +11,14 @@
 namespace tsaug::augment {
 
 /// Hyperparameters of TimeGAN (Yoon et al., NeurIPS'19), defaults matching
-/// the paper's setup where feasible: latent dimension 10, gamma 1, learning
-/// rate 5e-4, batch size 32. The paper trains for 2500/2500/1000 iterations
-/// (see PaperScaleTimeGanConfig()); the default here is scaled down so unit
-/// tests and single-core benches stay tractable.
+/// the paper's setup where feasible: latent dimension 10, learning rate
+/// 5e-4, batch size 32 (gamma is fixed at 1). The paper trains for
+/// 2500/2500/1000 iterations (see PaperScaleTimeGanConfig()); the default
+/// here is scaled down so unit tests and single-core benches stay
+/// tractable.
 struct TimeGanConfig {
   int hidden_dim = 10;
   int num_layers = 2;
-  double gamma = 1.0;
   double learning_rate = 5e-4;
   int batch_size = 32;
   int embedding_iterations = 300;

@@ -14,9 +14,17 @@ namespace tsaug::augment {
 using nn::Tensor;
 using nn::Variable;
 
+namespace {
+
+constexpr double kBeta = 0.5;  // weight of the KL term
+constexpr double kLearningRate = 2e-3;
+constexpr int kBatchSize = 16;
+
+}  // namespace
+
 Vae::Vae(VaeConfig config) : config_(std::move(config)) {
   TSAUG_CHECK(config_.hidden_dim >= 1 && config_.latent_dim >= 1);
-  TSAUG_CHECK(config_.beta >= 0.0 && config_.epochs >= 1);
+  TSAUG_CHECK(config_.epochs >= 1);
 }
 
 core::Status Vae::TryFit(const std::vector<std::vector<double>>& instances) {
@@ -66,9 +74,9 @@ core::Status Vae::TryFit(const std::vector<std::vector<double>>& instances) {
     const auto sub = m->AllParameters();
     params.insert(params.end(), sub.begin(), sub.end());
   }
-  nn::Adam optimizer(params, config_.learning_rate);
+  nn::Adam optimizer(params, kLearningRate);
 
-  const int batch = std::min(config_.batch_size, n);
+  const int batch = std::min(kBatchSize, n);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     TSAUG_RETURN_IF_ERROR(core::CheckStop("vae.epoch"));
     optimizer.ZeroGrad();
@@ -98,7 +106,7 @@ core::Status Vae::TryFit(const std::vector<std::vector<double>>& instances) {
         nn::Mean(nn::Sub(nn::AddConst(logvar, 1.0),
                          nn::Add(nn::Mul(mu, mu), nn::Exp(logvar)))),
         -0.5);
-    Variable loss = nn::Add(recon_loss, nn::ScaleBy(kl, config_.beta));
+    Variable loss = nn::Add(recon_loss, nn::ScaleBy(kl, kBeta));
     loss.Backward();
     optimizer.Step();
     final_loss_ = loss.value().scalar();

@@ -12,14 +12,12 @@ namespace tsaug::augment {
 
 /// Hyperparameters of the variational autoencoder augmenter (the
 /// taxonomy's neural-generative slot next to TimeGAN, cf. Kirchbuchner et
-/// al. / DeVries & Taylor latent-space augmentation).
+/// al. / DeVries & Taylor latent-space augmentation). Training always uses
+/// KL weight beta 0.5, Adam at 2e-3 and batches of 16.
 struct VaeConfig {
   int hidden_dim = 32;
   int latent_dim = 8;
-  double beta = 0.5;  // weight of the KL term
-  double learning_rate = 2e-3;
   int epochs = 200;
-  int batch_size = 16;
   std::uint64_t seed = 0;
 };
 

@@ -10,21 +10,20 @@ using nn::Variable;
 InceptionModule::InceptionModule(int in_channels,
                                  const InceptionTimeConfig& config,
                                  core::Rng& rng) {
-  const bool bottleneck = config.use_bottleneck && in_channels > 1;
+  const bool bottleneck = in_channels > 1;
   const int branch_in = bottleneck ? config.bottleneck_channels : in_channels;
   if (bottleneck) {
     bottleneck_ = std::make_unique<nn::Conv1dLayer>(
-        in_channels, config.bottleneck_channels, 1, rng, 1,
-        /*use_bias=*/false);
+        in_channels, config.bottleneck_channels, 1, rng, /*use_bias=*/false);
   }
   for (int kernel : config.kernel_sizes) {
     branches_.push_back(std::make_unique<nn::Conv1dLayer>(
-        branch_in, config.num_filters, kernel, rng, 1, /*use_bias=*/false));
+        branch_in, config.num_filters, kernel, rng, /*use_bias=*/false));
   }
   // MaxPool branch operates on the raw module input, then projects to
   // num_filters with a 1x1 convolution (Fawaz et al.'s architecture).
   pool_conv_ = std::make_unique<nn::Conv1dLayer>(
-      in_channels, config.num_filters, 1, rng, 1, /*use_bias=*/false);
+      in_channels, config.num_filters, 1, rng, /*use_bias=*/false);
   out_channels_ =
       config.num_filters * (static_cast<int>(config.kernel_sizes.size()) + 1);
   bn_ = std::make_unique<nn::BatchNorm1d>(out_channels_);
@@ -53,7 +52,7 @@ std::vector<nn::Module*> InceptionModule::Children() {
 InceptionNetwork::InceptionNetwork(int in_channels, int num_classes,
                                    const InceptionTimeConfig& config,
                                    core::Rng& rng)
-    : use_residual_(config.use_residual), num_classes_(num_classes) {
+    : num_classes_(num_classes) {
   TSAUG_CHECK(config.depth >= 1);
   int channels = in_channels;
   int residual_in = in_channels;
@@ -61,10 +60,10 @@ InceptionNetwork::InceptionNetwork(int in_channels, int num_classes,
     modules_.push_back(
         std::make_unique<InceptionModule>(channels, config, rng));
     channels = modules_.back()->out_channels();
-    if (use_residual_ && d % 3 == 2) {
+    if (d % 3 == 2) {
       Shortcut shortcut;
       shortcut.conv = std::make_unique<nn::Conv1dLayer>(
-          residual_in, channels, 1, rng, 1, /*use_bias=*/false);
+          residual_in, channels, 1, rng, /*use_bias=*/false);
       shortcut.bn = std::make_unique<nn::BatchNorm1d>(channels);
       shortcuts_.push_back(std::move(shortcut));
       residual_in = channels;
@@ -79,7 +78,7 @@ Variable InceptionNetwork::Forward(const Variable& batch) {
   size_t shortcut_idx = 0;
   for (size_t d = 0; d < modules_.size(); ++d) {
     x = modules_[d]->Forward(x);
-    if (use_residual_ && d % 3 == 2) {
+    if (d % 3 == 2) {
       TSAUG_CHECK(shortcut_idx < shortcuts_.size());
       const Shortcut& s = shortcuts_[shortcut_idx++];
       const Variable projected = s.bn->Forward(s.conv->Forward(residual));

@@ -12,14 +12,14 @@
 namespace tsaug::classify {
 
 /// Architecture and training hyperparameters of InceptionTime (Fawaz et
-/// al.). Paper-scale defaults; benches shrink filters/depth/ensemble.
+/// al.). Paper-scale defaults; benches shrink filters/depth/ensemble. The
+/// bottleneck (on multichannel module inputs) and the residual shortcut
+/// every third module are always on, as in Fawaz et al.
 struct InceptionTimeConfig {
   int num_filters = 32;          // per inception branch
   int depth = 6;                 // inception modules
   std::vector<int> kernel_sizes = {10, 20, 40};
   int bottleneck_channels = 32;
-  bool use_residual = true;      // shortcut every 3 modules
-  bool use_bottleneck = true;
   int ensemble_size = 5;
   double validation_fraction = 1.0 / 3.0;  // the paper's 2:1 split
   nn::TrainerConfig trainer;
@@ -39,7 +39,7 @@ class InceptionModule : public nn::Module {
   int out_channels() const { return out_channels_; }
 
  private:
-  std::unique_ptr<nn::Conv1dLayer> bottleneck_;  // null when disabled
+  std::unique_ptr<nn::Conv1dLayer> bottleneck_;  // null on 1-channel input
   std::vector<std::unique_ptr<nn::Conv1dLayer>> branches_;
   std::unique_ptr<nn::Conv1dLayer> pool_conv_;
   std::unique_ptr<nn::BatchNorm1d> bn_;
@@ -66,7 +66,6 @@ class InceptionNetwork : public nn::SequenceClassifierNet {
   std::vector<std::unique_ptr<InceptionModule>> modules_;
   std::vector<Shortcut> shortcuts_;  // one per residual connection
   std::unique_ptr<nn::Linear> head_;
-  bool use_residual_;
   int num_classes_;
 };
 

@@ -12,12 +12,6 @@ void Dataset::Add(TimeSeries series, int label) {
   num_classes_ = std::max(num_classes_, label + 1);
 }
 
-void Dataset::Append(const Dataset& other) {
-  for (int i = 0; i < other.size(); ++i) {
-    Add(other.series(i), other.label(i));
-  }
-}
-
 int Dataset::num_channels() const {
   TSAUG_CHECK(!empty());
   const int channels = series_[0].num_channels();
@@ -65,21 +59,6 @@ int Dataset::MajorityClass() const {
       std::max_element(counts.begin(), counts.end()) - counts.begin());
 }
 
-int Dataset::MinorityClass() const {
-  const std::vector<int> counts = ClassCounts();
-  TSAUG_CHECK(!counts.empty());
-  return static_cast<int>(
-      std::min_element(counts.begin(), counts.end()) - counts.begin());
-}
-
-Dataset Dataset::FilterClass(int label) const {
-  Dataset out(num_classes_);
-  for (int i = 0; i < size(); ++i) {
-    if (labels_[static_cast<size_t>(i)] == label) out.Add(series_[static_cast<size_t>(i)], label);
-  }
-  return out;
-}
-
 Dataset Dataset::Subset(const std::vector<int>& indices) const {
   Dataset out(num_classes_);
   for (int i : indices) out.Add(series(i), label(i));
@@ -105,13 +84,6 @@ std::pair<Dataset, Dataset> Dataset::StratifiedSplit(double first_fraction,
     }
   }
   return {std::move(first), std::move(second)};
-}
-
-Dataset Dataset::Shuffled(Rng& rng) const {
-  std::vector<int> order(static_cast<size_t>(size()));
-  for (int i = 0; i < size(); ++i) order[static_cast<size_t>(i)] = i;
-  rng.Shuffle(order);
-  return Subset(order);
 }
 
 }  // namespace tsaug::core

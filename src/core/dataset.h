@@ -22,9 +22,6 @@ class Dataset {
   /// Appends one labelled series. Grows num_classes if `label` is new.
   void Add(TimeSeries series, int label);
 
-  /// Appends every instance of `other` (classes must be compatible).
-  void Append(const Dataset& other);
-
   int size() const { return static_cast<int>(series_.size()); }
   bool empty() const { return series_.empty(); }
   int num_classes() const { return num_classes_; }
@@ -59,12 +56,8 @@ class Dataset {
   /// Indices of the instances of each class.
   std::vector<std::vector<int>> IndicesByClass() const;
 
-  /// The label with the most / fewest instances (ties -> smallest label).
+  /// The label with the most instances (ties -> smallest label).
   int MajorityClass() const;
-  int MinorityClass() const;
-
-  /// A dataset containing only the instances of `label`.
-  Dataset FilterClass(int label) const;
 
   /// A dataset containing the given instance indices.
   Dataset Subset(const std::vector<int>& indices) const;
@@ -74,9 +67,6 @@ class Dataset {
   /// randomised by `rng`.
   std::pair<Dataset, Dataset> StratifiedSplit(double first_fraction,
                                               Rng& rng) const;
-
-  /// A copy with instance order randomised.
-  Dataset Shuffled(Rng& rng) const;
 
  private:
   std::vector<TimeSeries> series_;

@@ -1,6 +1,7 @@
 #include "core/faultpoint.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -71,8 +72,9 @@ bool ParseRule(const std::string& entry, Rule& rule) {
   for (char c : count) {
     if (c < '0' || c > '9') return false;
   }
-  rule.n = std::atoll(count.c_str());
-  if (rule.n < 1) return false;
+  errno = 0;
+  rule.n = std::strtoll(count.c_str(), nullptr, 10);
+  if (errno != 0 || rule.n < 1) return false;
   std::string target = entry.substr(0, colon);
   const size_t at = target.find('@');
   if (at != std::string::npos) {

@@ -65,18 +65,30 @@ Flag SwitchFlag(std::string name, bool* out) {
 Status ParseFlags(int argc, char** argv, const std::vector<Flag>& flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // `--name=VALUE` carries its value in the same argument.
+    const size_t equals =
+        arg.rfind("--", 0) == 0 ? arg.find('=') : std::string::npos;
+    const std::string name = arg.substr(0, equals);
     const Flag* flag = nullptr;
     for (const Flag& candidate : flags) {
-      if (candidate.name == arg) flag = &candidate;
+      if (candidate.name == name) flag = &candidate;
     }
-    if (flag == nullptr) return InvalidArgumentError("unknown flag " + arg);
-    if (flag->takes_value && i + 1 == argc) {
-      return InvalidArgumentError("missing value for " + arg);
+    if (flag == nullptr) return InvalidArgumentError("unknown flag " + name);
+    const char* value = nullptr;
+    if (equals != std::string::npos) {
+      if (!flag->takes_value) {
+        return InvalidArgumentError(name + " takes no value");
+      }
+      value = argv[i] + equals + 1;
+    } else if (flag->takes_value) {
+      if (i + 1 == argc) {
+        return InvalidArgumentError("missing value for " + name);
+      }
+      value = argv[++i];
     }
-    const char* value = flag->takes_value ? argv[++i] : nullptr;
     if (!flag->parse(value)) {
       return InvalidArgumentError("bad value '" + std::string(value) +
-                                  "' for " + arg);
+                                  "' for " + name);
     }
   }
   return OkStatus();

@@ -16,9 +16,9 @@ bool ParseInt(const char* text, int min, int max, int* out);
 /// The same for a finite double in strtod syntax.
 bool ParseDouble(const char* text, double min, double max, double* out);
 
-/// One command-line flag: `--name VALUE`, or a bare switch when
-/// `takes_value` is false. `parse` stores the value (nullptr for a switch)
-/// and returns false to reject it.
+/// One command-line flag: `--name VALUE` or `--name=VALUE`, or a bare
+/// switch when `takes_value` is false. `parse` stores the value (nullptr
+/// for a switch) and returns false to reject it.
 struct Flag {
   std::string name;
   bool takes_value = true;
@@ -30,7 +30,7 @@ Flag StringFlag(std::string name, std::string* out);
 Flag SwitchFlag(std::string name, bool* out);
 
 /// Applies argv[1..argc) to `flags`: kInvalidArgument naming the first
-/// unknown flag, missing value or rejected value.
+/// unknown flag, missing value, rejected value or switch given a value.
 [[nodiscard]] Status ParseFlags(int argc, char** argv,
                                 const std::vector<Flag>& flags);
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/dataset.h"
 #include "core/status.h"
 #include "core/time_series.h"
 
@@ -20,15 +19,6 @@ namespace tsaug::core {
 /// are emitted as the literal `NaN`.
 void WriteSeriesCsv(const TimeSeries& series, std::ostream& out);
 bool WriteSeriesCsv(const TimeSeries& series, const std::string& path);
-
-/// Writes a dataset in long CSV form: `instance,label,channel,t,value`.
-void WriteDatasetCsv(const Dataset& dataset, std::ostream& out);
-bool WriteDatasetCsv(const Dataset& dataset, const std::string& path);
-
-/// Reads a dataset written by WriteDatasetCsv. Returns false on malformed
-/// input (the dataset is left empty in that case).
-bool ReadDatasetCsv(std::istream& in, Dataset* dataset);
-bool ReadDatasetCsv(const std::string& path, Dataset* dataset);
 
 }  // namespace tsaug::core
 

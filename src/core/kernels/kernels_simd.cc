@@ -370,13 +370,31 @@ double SquaredDiffSum(const double* a, const double* b, std::int64_t n) {
 
 // --- elementwise entry points -----------------------------------------------
 
+// When both addends are NaN, x86 returns the NaN of the first source
+// operand. The scalar table keeps the accumulator y in the destination
+// register, so y's NaN wins there, but GCC is free to fold the y load into
+// vaddpd's second (memory) source instead, and does. These adds pin y as
+// the first source; the addend may still come straight from memory, so a
+// vector costs no extra instruction.
+__m256d AddToAccumulator(__m256d y, __m256d addend) {
+  __m256d sum;
+  asm("vaddpd %2, %1, %0" : "=x"(sum) : "x"(y), "xm"(addend));
+  return sum;
+}
+
+double AddToAccumulator(double y, double addend) {
+  double sum;
+  asm("vaddsd %2, %1, %0" : "=x"(sum) : "x"(y), "xm"(addend));
+  return sum;
+}
+
 void EwAddAcc(const double* g, double* y, std::int64_t n) {
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(g + i)));
+    _mm256_storeu_pd(y + i, AddToAccumulator(_mm256_loadu_pd(y + i),
+                                             _mm256_loadu_pd(g + i)));
   }
-  for (; i < n; ++i) y[i] += g[i];
+  for (; i < n; ++i) y[i] = AddToAccumulator(y[i], g[i]);
 }
 
 /// x > 0 ? x : +0.0 per lane: the ordered compare is false for NaN and
@@ -393,7 +411,8 @@ void EwRelu(const double* x, double* y, std::int64_t n) {
 }
 
 /// The same compare mask picks 1.0 or +0.0, and g multiplies it as in the
-/// scalar loop.
+/// scalar loop. The mask is written 0 < x so the x load folds into the
+/// compare, which pays for the y load the pinned add needs.
 void EwReluBwdAcc(const double* g, const double* x, double* y,
                   std::int64_t n) {
   const __m256d zero = _mm256_setzero_pd();
@@ -401,12 +420,14 @@ void EwReluBwdAcc(const double* g, const double* x, double* y,
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d mask =
-        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_GT_OQ);
+        _mm256_cmp_pd(zero, _mm256_loadu_pd(x + i), _CMP_LT_OQ);
     const __m256d dy =
         _mm256_mul_pd(_mm256_loadu_pd(g + i), _mm256_and_pd(mask, one));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), dy));
+    _mm256_storeu_pd(y + i, AddToAccumulator(_mm256_loadu_pd(y + i), dy));
   }
-  for (; i < n; ++i) y[i] += g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
+  for (; i < n; ++i) {
+    y[i] = AddToAccumulator(y[i], g[i] * (x[i] > 0.0 ? 1.0 : 0.0));
+  }
 }
 
 constexpr KernelTable kSimdTable = {

@@ -17,14 +17,6 @@ TimeSeries ZNormalize(const TimeSeries& series) {
   return out;
 }
 
-Dataset ZNormalizeDataset(const Dataset& dataset) {
-  Dataset out(dataset.num_classes());
-  for (int i = 0; i < dataset.size(); ++i) {
-    out.Add(ZNormalize(dataset.series(i)), dataset.label(i));
-  }
-  return out;
-}
-
 TimeSeries ImputeLinear(const TimeSeries& series) {
   TimeSeries out = series;
   for (int c = 0; c < out.num_channels(); ++c) {
@@ -55,14 +47,6 @@ TimeSeries ImputeLinear(const TimeSeries& series) {
         channel[static_cast<size_t>(s)] = channel[static_cast<size_t>(prev_observed)];
       }
     }
-  }
-  return out;
-}
-
-Dataset ImputeDataset(const Dataset& dataset) {
-  Dataset out(dataset.num_classes());
-  for (int i = 0; i < dataset.size(); ++i) {
-    out.Add(ImputeLinear(dataset.series(i)), dataset.label(i));
   }
   return out;
 }

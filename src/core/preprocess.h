@@ -11,16 +11,10 @@ namespace tsaug::core {
 /// centred). NaNs are ignored by the statistics and left in place.
 TimeSeries ZNormalize(const TimeSeries& series);
 
-/// Applies ZNormalize to every instance.
-Dataset ZNormalizeDataset(const Dataset& dataset);
-
 /// Replaces NaN runs by linear interpolation between the nearest observed
 /// neighbours; leading/trailing NaNs take the nearest observed value. A
 /// fully-missing channel becomes zeros.
 TimeSeries ImputeLinear(const TimeSeries& series);
-
-/// Applies ImputeLinear to every instance.
-Dataset ImputeDataset(const Dataset& dataset);
 
 /// Linearly resamples the series to `target_length` steps per channel.
 TimeSeries ResampleToLength(const TimeSeries& series, int target_length);

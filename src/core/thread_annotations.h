@@ -63,10 +63,6 @@
 #define TSAUG_RELEASE(...) \
   TSAUG_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability only when returning `result`.
-#define TSAUG_TRY_ACQUIRE(result, ...) \
-  TSAUG_THREAD_ANNOTATION_(try_acquire_capability(result, __VA_ARGS__))
-
 /// Caller must NOT hold the capability (deadlock prevention for functions
 /// that acquire it themselves).
 #define TSAUG_EXCLUDES(...) TSAUG_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
@@ -96,7 +92,6 @@ class TSAUG_CAPABILITY("mutex") Mutex {
 
   void Lock() TSAUG_ACQUIRE() { mu_.lock(); }
   void Unlock() TSAUG_RELEASE() { mu_.unlock(); }
-  bool TryLock() TSAUG_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// The wrapped handle, for CondVar only: waiting needs the raw mutex,
   /// and CondVar's annotations keep the capability story sound around it.
@@ -152,7 +147,6 @@ class CondVar {
     return status == std::cv_status::no_timeout;
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -34,13 +34,6 @@ TimeSeries TimeSeries::FromFlat(const std::vector<double>& flat,
   return series;
 }
 
-bool TimeSeries::HasMissing() const {
-  for (double v : values_) {
-    if (std::isnan(v)) return true;
-  }
-  return false;
-}
-
 int TimeSeries::CountMissing() const {
   int count = 0;
   for (double v : values_) {

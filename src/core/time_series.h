@@ -66,9 +66,6 @@ class TimeSeries {
   static TimeSeries FromFlat(const std::vector<double>& flat,
                              int num_channels, int length);
 
-  /// True if any observation is NaN.
-  bool HasMissing() const;
-
   /// Number of NaN observations.
   int CountMissing() const;
 

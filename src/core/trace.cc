@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 
@@ -115,19 +114,6 @@ void SortRecursive(std::vector<ScopeStats>& scopes) {
   for (ScopeStats& s : scopes) SortRecursive(s.children);
 }
 
-void AppendTextLines(const std::vector<ScopeStats>& scopes, int depth,
-                     std::string& out) {
-  for (const ScopeStats& s : scopes) {
-    char line[160];
-    std::snprintf(line, sizeof(line), "%*s%-32s count=%lld total=%.3fms\n",
-                  2 * depth, "", s.name.c_str(),
-                  static_cast<long long>(s.count),
-                  static_cast<double>(s.total_ns) * 1e-6);
-    out += line;
-    AppendTextLines(s.children, depth + 1, out);
-  }
-}
-
 void WriteJsonScopes(const std::vector<ScopeStats>& scopes, JsonWriter& w) {
   w.BeginArray();
   for (const ScopeStats& s : scopes) {
@@ -225,16 +211,6 @@ std::vector<ScopeStats> MergedScopes() {
   }
   SortRecursive(merged);
   return merged;
-}
-
-std::string ReportText() {
-  std::string out = "TSAUG trace report\nscopes:\n";
-  AppendTextLines(MergedScopes(), 1, out);
-  out += "counters:\n";
-  for (const auto& [name, value] : Counters()) {
-    out += "  " + name + " = " + std::to_string(value) + "\n";
-  }
-  return out;
 }
 
 std::string ReportJson() {

@@ -76,9 +76,6 @@ struct ScopeStats {
 /// is independent of thread scheduling given deterministic work.
 std::vector<ScopeStats> MergedScopes();
 
-/// Human-readable report: indented scope tree plus the counter table.
-std::string ReportText();
-
 /// Machine-readable report. Schema (the BENCH_*.json feed):
 ///   {"trace_version": 1,
 ///    "enabled": true|false,

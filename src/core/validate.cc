@@ -75,18 +75,6 @@ double DatasetChannelMean(const Dataset& dataset, int c) {
 
 }  // namespace
 
-const char* SeverityName(Severity severity) {
-  switch (severity) {
-    case Severity::kNote:
-      return "note";
-    case Severity::kRepairable:
-      return "repairable";
-    case Severity::kFatal:
-      return "fatal";
-  }
-  return "unknown";
-}
-
 bool ValidationReport::HasFatal() const {
   for (const Diagnosis& d : findings) {
     if (d.severity == Severity::kFatal) return true;
@@ -106,30 +94,6 @@ Status ValidationReport::FirstFatal() const {
     if (d.severity == Severity::kFatal) return d.status;
   }
   return OkStatus();
-}
-
-std::string ValidationReport::Summary() const {
-  if (findings.empty()) return "ok";
-  int fatal = 0;
-  int repairable = 0;
-  int note = 0;
-  for (const Diagnosis& d : findings) {
-    switch (d.severity) {
-      case Severity::kFatal:
-        ++fatal;
-        break;
-      case Severity::kRepairable:
-        ++repairable;
-        break;
-      case Severity::kNote:
-        ++note;
-        break;
-    }
-  }
-  return "fatal=" + std::to_string(fatal) +
-         " repairable=" + std::to_string(repairable) +
-         " note=" + std::to_string(note) + ": " +
-         findings.front().status.ToString();
 }
 
 bool ChannelsConsistent(const Dataset& dataset) {
@@ -231,13 +195,13 @@ ValidationReport ValidateDataset(const Dataset& dataset,
                         " per-instance all-missing channels"));
   }
 
-  // Class structure. Gaps in the label space are tolerated by grids
-  // (balance skips them) but fatal for callers that generate per class.
+  // Class structure. Gaps in the label space are tolerated: balancing
+  // skips them, and a per-class generator asked for one reports
+  // kEmptyClass itself.
   const std::vector<int> counts = dataset.ClassCounts();
   for (size_t label = 0; label < counts.size(); ++label) {
     if (counts[label] == 0) {
-      add(options.require_nonempty_classes ? Severity::kFatal
-                                           : Severity::kNote,
+      add(Severity::kNote,
           EmptyClassError("validate: class " + std::to_string(label) +
                           " has no instances"));
     } else if (counts[label] == 1) {
@@ -275,11 +239,7 @@ StatusOr<RepairOutcome> TryRepairTrainTest(const Dataset& train,
     Status fatal = train_report.FirstFatal();
     return fatal.AddContext("repair(train)");
   }
-  ValidateOptions test_options = options;
-  // Gaps in the test label space are always tolerable: scoring a class
-  // nobody asks about is not an error.
-  test_options.require_nonempty_classes = false;
-  const ValidationReport test_report = ValidateDataset(test, test_options);
+  const ValidationReport test_report = ValidateDataset(test, options);
   if (test_report.HasFatal()) {
     Status fatal = test_report.FirstFatal();
     return fatal.AddContext("repair(test)");

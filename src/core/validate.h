@@ -41,8 +41,6 @@ enum class Severity {
   kFatal,
 };
 
-const char* SeverityName(Severity severity);
-
 /// One preflight finding: a typed Status (kEmptyClass, kAllMissing,
 /// kGeometryMismatch, kDegenerateInput) plus how severely it constrains
 /// the run.
@@ -60,8 +58,6 @@ struct ValidationReport {
   /// The first fatal finding's status (OK when none) — what a grid cell
   /// records when the dataset cannot run at all.
   Status FirstFatal() const;
-  /// "ok" or "fatal=2 repairable=1 note=3: <first finding>".
-  std::string Summary() const;
 };
 
 struct ValidateOptions {
@@ -71,9 +67,6 @@ struct ValidateOptions {
   /// floor is 2. Series below the floor are repairable when the dataset's
   /// longest series reaches it; a dataset entirely below it is fatal.
   int min_length = 2;
-  /// When true, a class with zero training instances is fatal instead of
-  /// a note (per-class generators cannot run; grids tolerate the gap).
-  bool require_nonempty_classes = false;
 };
 
 /// Diagnoses `dataset` against `options`. Pure inspection: never mutates,

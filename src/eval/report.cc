@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "augment/pipeline.h"
 #include "core/flags.h"
@@ -257,26 +258,15 @@ core::StatusOr<BenchSettings> ReadBenchSettings() {
   return settings;
 }
 
-void ApplyGridFlags(int argc, char** argv, BenchSettings& settings) {
-  auto value_of = [&](int& i, const std::string& arg,
-                      const std::string& flag) -> const char* {
-    if (arg.rfind(flag + "=", 0) == 0) {
-      return argv[i] + flag.size() + 1;
-    }
-    if (arg == flag && i + 1 < argc) {
-      return argv[++i];
-    }
-    return nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const char* v = value_of(i, arg, "--journal")) {
-      settings.journal_path = v;
-    } else if (const char* budget =
-                   value_of(i, arg, "--cell-budget-seconds")) {
-      settings.cell_budget_seconds = std::atof(budget);
-    }
-  }
+core::Status ApplyGridFlags(int argc, char** argv, BenchSettings& settings) {
+  BenchSettings parsed = settings;
+  TSAUG_RETURN_IF_ERROR(core::ParseFlags(
+      argc, argv,
+      {core::StringFlag("--journal", &parsed.journal_path),
+       core::DoubleFlag("--cell-budget-seconds", 0.0, 1e9,
+                        &parsed.cell_budget_seconds)}));
+  settings = std::move(parsed);
+  return core::OkStatus();
 }
 
 ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,

@@ -66,8 +66,11 @@ struct BenchSettings {
 ///   --journal=PATH (or --journal PATH)           journal file
 ///   --cell-budget-seconds=S (or ... -seconds S)  per-cell wall budget
 /// Flags override the TSAUG_JOURNAL / TSAUG_CELL_BUDGET environment
-/// variables; unrecognised arguments are left for the bench to interpret.
-void ApplyGridFlags(int argc, char** argv, BenchSettings& settings);
+/// variables. An unknown flag, a missing value or a budget outside
+/// [0, 1e9] (as for TSAUG_CELL_BUDGET) is kInvalidArgument, and `settings`
+/// is unchanged.
+[[nodiscard]] core::Status ApplyGridFlags(int argc, char** argv,
+                                          BenchSettings& settings);
 
 /// The experiment configuration for a table bench under these settings.
 ExperimentConfig MakeExperimentConfig(const BenchSettings& settings,

@@ -50,13 +50,6 @@ std::vector<double> Matrix::Row(int r) const {
   return std::vector<double>(p, p + cols_);
 }
 
-std::vector<double> Matrix::Col(int c) const {
-  TSAUG_CHECK(c >= 0 && c < cols_);
-  std::vector<double> out(static_cast<size_t>(rows_));
-  for (int r = 0; r < rows_; ++r) out[static_cast<size_t>(r)] = (*this)(r, c);
-  return out;
-}
-
 void Matrix::SetRow(int r, const std::vector<double>& values) {
   TSAUG_CHECK(static_cast<int>(values.size()) == cols_);
   std::copy(values.begin(), values.end(), row_data(r));

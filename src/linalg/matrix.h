@@ -57,8 +57,6 @@ class Matrix {
 
   /// Copies row `r` out as a vector.
   std::vector<double> Row(int r) const;
-  /// Copies column `c` out as a vector.
-  std::vector<double> Col(int c) const;
   /// Overwrites row `r`.
   void SetRow(int r, const std::vector<double>& values);
 

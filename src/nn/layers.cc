@@ -72,8 +72,8 @@ Variable Linear::Forward(const Variable& x) const {
 }
 
 Conv1dLayer::Conv1dLayer(int in_channels, int out_channels, int kernel_size,
-                         core::Rng& rng, int dilation, bool use_bias)
-    : dilation_(dilation), use_bias_(use_bias) {
+                         core::Rng& rng, bool use_bias)
+    : use_bias_(use_bias) {
   Tensor w({out_channels, in_channels, kernel_size});
   GlorotInit(w, in_channels * kernel_size, out_channels * kernel_size, rng);
   w_ = Variable(std::move(w), /*requires_grad=*/true);
@@ -83,7 +83,7 @@ Conv1dLayer::Conv1dLayer(int in_channels, int out_channels, int kernel_size,
 }
 
 Variable Conv1dLayer::Forward(const Variable& x) const {
-  Variable out = Conv1dSame(x, w_, dilation_);
+  Variable out = Conv1dSame(x, w_, 1);
   if (use_bias_) out = AddChannelBias(out, b_);
   return out;
 }
@@ -93,11 +93,16 @@ std::vector<Variable> Conv1dLayer::Parameters() const {
   return {w_};
 }
 
-BatchNorm1d::BatchNorm1d(int channels, double momentum, double eps)
+namespace {
+
+constexpr double kBatchNormMomentum = 0.1;
+constexpr double kBatchNormEps = 1e-5;
+
+}  // namespace
+
+BatchNorm1d::BatchNorm1d(int channels)
     : running_mean_(static_cast<size_t>(channels), 0.0),
-      running_var_(static_cast<size_t>(channels), 1.0),
-      momentum_(momentum),
-      eps_(eps) {
+      running_var_(static_cast<size_t>(channels), 1.0) {
   gamma_ = Variable(Tensor({channels}, 1.0), /*requires_grad=*/true);
   beta_ = Variable(Tensor({channels}), /*requires_grad=*/true);
 }
@@ -105,11 +110,11 @@ BatchNorm1d::BatchNorm1d(int channels, double momentum, double eps)
 Variable BatchNorm1d::Forward(const Variable& x) {
   if (!training_) {
     return BatchNormInference(x, gamma_, beta_, running_mean_, running_var_,
-                              eps_);
+                              kBatchNormEps);
   }
   std::vector<double> batch_mean;
   std::vector<double> batch_var;
-  Variable out = BatchNormTrain(x, gamma_, beta_, eps_, &batch_mean,
+  Variable out = BatchNormTrain(x, gamma_, beta_, kBatchNormEps, &batch_mean,
                                 &batch_var);
   if (!stats_initialized_) {
     running_mean_ = batch_mean;
@@ -117,10 +122,10 @@ Variable BatchNorm1d::Forward(const Variable& x) {
     stats_initialized_ = true;
   } else {
     for (size_t c = 0; c < running_mean_.size(); ++c) {
-      running_mean_[c] =
-          (1.0 - momentum_) * running_mean_[c] + momentum_ * batch_mean[c];
-      running_var_[c] =
-          (1.0 - momentum_) * running_var_[c] + momentum_ * batch_var[c];
+      running_mean_[c] = (1.0 - kBatchNormMomentum) * running_mean_[c] +
+                         kBatchNormMomentum * batch_mean[c];
+      running_var_[c] = (1.0 - kBatchNormMomentum) * running_var_[c] +
+                        kBatchNormMomentum * batch_var[c];
     }
   }
   return out;

@@ -74,11 +74,12 @@ class Linear : public Module {
   Variable b_;
 };
 
-/// 1-D convolution layer with 'same' padding over [n, channels, time].
+/// 1-D convolution layer with 'same' padding and dilation 1 over
+/// [n, channels, time].
 class Conv1dLayer : public Module {
  public:
   Conv1dLayer(int in_channels, int out_channels, int kernel_size,
-              core::Rng& rng, int dilation = 1, bool use_bias = true);
+              core::Rng& rng, bool use_bias = true);
 
   Variable Forward(const Variable& x) const;
 
@@ -88,15 +89,14 @@ class Conv1dLayer : public Module {
  private:
   Variable w_;     // [out, in, k]
   Variable b_;     // [out], undefined when bias disabled
-  int dilation_ = 1;
   bool use_bias_ = true;
 };
 
-/// Batch normalisation over [n, channels, time] with running statistics.
+/// Batch normalisation over [n, channels, time] with running statistics
+/// (momentum 0.1, eps 1e-5, the PyTorch and Keras defaults).
 class BatchNorm1d : public Module {
  public:
-  explicit BatchNorm1d(int channels, double momentum = 0.1,
-                       double eps = 1e-5);
+  explicit BatchNorm1d(int channels);
 
   Variable Forward(const Variable& x);
 
@@ -114,8 +114,6 @@ class BatchNorm1d : public Module {
   Variable beta_;
   std::vector<double> running_mean_;
   std::vector<double> running_var_;
-  double momentum_;
-  double eps_;
   bool training_ = true;
   bool stats_initialized_ = false;
 };

@@ -7,55 +7,26 @@
 
 namespace tsaug::nn {
 
-/// Gradient-descent optimiser interface over a fixed parameter list.
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction and the paper defaults beta1
+/// 0.9, beta2 0.999 and eps 1e-8: the optimiser used for InceptionTime,
+/// TimeGAN and the VAE, over a fixed parameter list.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Variable> parameters)
-      : parameters_(std::move(parameters)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Variable> parameters, double learning_rate);
 
   /// Applies one update from the accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears all parameter gradients.
   void ZeroGrad() {
     for (Variable& p : parameters_) p.ZeroGrad();
   }
 
-  double learning_rate() const { return learning_rate_; }
   void set_learning_rate(double lr) { learning_rate_ = lr; }
 
- protected:
+ private:
   std::vector<Variable> parameters_;
-  double learning_rate_ = 1e-3;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Variable> parameters, double learning_rate,
-      double momentum = 0.0);
-
-  void Step() override;
-
- private:
-  double momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction, the optimiser used for both
-/// InceptionTime and TimeGAN training.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Variable> parameters, double learning_rate,
-       double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
-
-  void Step() override;
-
- private:
-  double beta1_;
-  double beta2_;
-  double eps_;
+  double learning_rate_;
   long long t_ = 0;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -54,9 +53,10 @@ Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices) {
 
 double FindLearningRate(SequenceClassifierNet& net, const Tensor& x,
                         const std::vector<int>& labels, int batch_size,
-                        core::Rng& rng, double min_lr, double max_lr,
-                        int steps) {
-  TSAUG_CHECK(steps >= 2);
+                        core::Rng& rng) {
+  constexpr double min_lr = 1e-5;
+  constexpr double max_lr = 1.0;
+  constexpr int steps = 40;
   TSAUG_TRACE_SCOPE("train.find_lr");
   core::trace::AddCount("train.lr_range_tests");
   const std::vector<Tensor> initial_state = net.GetState();
@@ -172,7 +172,7 @@ core::StatusOr<TrainResult> TryTrainClassifier(
     }
     result.epochs_run = epoch + 1;
     if (diverged) {
-      if (result.divergence_retries >= config.max_divergence_retries) {
+      if (result.divergence_retries >= kMaxDivergenceRetries) {
         return core::DivergedError(
             "trainer: loss diverged at epoch " + std::to_string(epoch) +
             " after " + std::to_string(result.divergence_retries) +
@@ -211,10 +211,6 @@ core::StatusOr<TrainResult> TryTrainClassifier(
         best_state = net.GetState();
       }
       ++epochs_since_best;
-    }
-    if (config.verbose) {
-      std::printf("epoch %3d loss %.4f val_acc %.4f\n", epoch,
-                  result.epoch_train_losses.back(), val_accuracy);
     }
     result.epoch_seconds.push_back(epoch_watch.Seconds());
     if (epochs_since_best >= config.early_stopping_patience) break;

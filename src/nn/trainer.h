@@ -28,13 +28,13 @@ struct TrainerConfig {
   /// 0 means: run the cyclical learning-rate range test (Smith 2017) and
   /// use the valley rule (lr at minimum smoothed loss / 10).
   double learning_rate = 0.0;
-  /// Divergence recovery budget: an epoch whose loss goes non-finite or
-  /// explodes restores the best checkpoint, halves the learning rate and
-  /// retries, up to this many times before TryTrainClassifier reports
-  /// kDiverged.
-  int max_divergence_retries = 2;
-  bool verbose = false;
 };
+
+/// Divergence recovery budget: an epoch whose loss goes non-finite or
+/// explodes restores the best checkpoint, halves the learning rate and
+/// retries, up to this many times before TryTrainClassifier reports
+/// kDiverged.
+inline constexpr int kMaxDivergenceRetries = 2;
 
 struct TrainResult {
   double best_val_accuracy = 0.0;
@@ -42,7 +42,7 @@ struct TrainResult {
   int epochs_run = 0;
   double learning_rate = 0.0;  // the rate actually used (after halvings)
   /// Times training diverged and was recovered (checkpoint restored,
-  /// learning rate halved). Bounded by TrainerConfig::max_divergence_retries.
+  /// learning rate halved). Bounded by kMaxDivergenceRetries.
   int divergence_retries = 0;
   std::vector<double> epoch_train_losses;
   /// Wall time of each epoch (train + validation), seconds on the steady
@@ -57,13 +57,12 @@ struct TrainResult {
 /// Gathers `indices` of `x` [N,C,T] into a batch tensor [b,C,T].
 Tensor GatherBatch(const Tensor& x, const std::vector<int>& indices);
 
-/// Learning-rate range test: exponentially sweeps lr over mini-batches,
-/// tracks smoothed loss, aborts on divergence, returns valley lr. The
-/// network state is restored afterwards.
+/// Learning-rate range test: sweeps lr exponentially from 1e-5 to 1 over
+/// 40 mini-batches, tracks smoothed loss, aborts on divergence, returns
+/// valley lr. The network state is restored afterwards.
 double FindLearningRate(SequenceClassifierNet& net, const Tensor& x,
                         const std::vector<int>& labels, int batch_size,
-                        core::Rng& rng, double min_lr = 1e-5,
-                        double max_lr = 1.0, int steps = 40);
+                        core::Rng& rng);
 
 /// Trains `net` on (x_train, y_train), early-stopping on accuracy over
 /// (x_val, y_val), and leaves the best-validation weights loaded.
@@ -72,8 +71,8 @@ double FindLearningRate(SequenceClassifierNet& net, const Tensor& x,
 /// explodes (also reachable via the "trainer.step" fault point, which
 /// poisons one batch loss), the best checkpoint is restored, the learning
 /// rate is halved, the Adam state is reset, and training continues; after
-/// TrainerConfig::max_divergence_retries such recoveries the next
-/// divergence returns kDiverged.
+/// kMaxDivergenceRetries such recoveries the next divergence returns
+/// kDiverged.
 [[nodiscard]] core::StatusOr<TrainResult> TryTrainClassifier(
     SequenceClassifierNet& net, const Tensor& x_train,
     const std::vector<int>& y_train, const Tensor& x_val,

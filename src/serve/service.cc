@@ -43,15 +43,6 @@ augment::Augmenter* Service::FindTechnique(const std::string& name) {
   return it == by_name_.end() ? nullptr : it->second;
 }
 
-std::vector<std::string> Service::TechniqueNames() const {
-  std::vector<std::string> names;
-  names.reserve(techniques_.size());
-  for (const std::shared_ptr<augment::Augmenter>& technique : techniques_) {
-    names.push_back(technique->name());
-  }
-  return names;
-}
-
 std::vector<AugmentResponse> Service::ExecuteAugmentBatch(
     const std::vector<const AugmentRequest*>& batch) {
   TSAUG_TRACE_SCOPE("serve.execute.augment");

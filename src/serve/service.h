@@ -71,9 +71,6 @@ class Service {
   int num_channels() const { return data_.train.num_channels(); }
   int series_length() const { return data_.train.max_length(); }
 
-  /// Registered technique names, registry order.
-  std::vector<std::string> TechniqueNames() const;
-
  private:
   augment::Augmenter* FindTechnique(const std::string& name);
 

@@ -13,6 +13,8 @@
 
 #include "augment/pipeline.h"
 #include "augment/timegan.h"
+#include "core/kernels/kernels.h"
+#include "core/parallel.h"
 #include "data/synthetic.h"
 
 namespace tsaug::augment {
@@ -54,6 +56,14 @@ std::vector<NamedEntry> AllEntries() {
     entries.push_back({entry.augmenter->name(), entry.augmenter});
   }
   return entries;
+}
+
+/// Bit-pattern equality: unlike operator==, a NaN equals the same NaN.
+bool SameBits(const core::TimeSeries& a, const core::TimeSeries& b) {
+  return a.num_channels() == b.num_channels() && a.length() == b.length() &&
+         (a.values().empty() ||
+          std::memcmp(a.values().data(), b.values().data(),
+                      a.values().size() * sizeof(double)) == 0);
 }
 
 class AugmenterProperty : public ::testing::TestWithParam<NamedEntry> {};
@@ -114,6 +124,47 @@ TEST_P(AugmenterProperty, BalancingEqualizesCounts) {
   for (int c : counts) EXPECT_EQ(c, 10) << GetParam().name;
 }
 
+TEST_P(AugmenterProperty, SameBitsAcrossThreadsAndBackends) {
+  // Balancing prefits the per-class models on the pool, then generates;
+  // the output may depend on the seed alone, not on the thread count or
+  // the kernel backend.
+  const core::Dataset train = PropertyData();
+  const core::kernels::Backend backend = core::kernels::ActiveBackend();
+  const int threads = core::GetNumThreads();
+  std::vector<core::kernels::Backend> backends = {
+      core::kernels::Backend::kScalar};
+  if (core::kernels::SimdAvailable()) {
+    backends.push_back(core::kernels::Backend::kSimd);
+  }
+  std::vector<core::TimeSeries> reference;
+  for (core::kernels::Backend b : backends) {
+    for (int n : {1, 2, 8}) {
+      SCOPED_TRACE(GetParam().name + " threads=" + std::to_string(n) +
+                   (b == core::kernels::Backend::kSimd ? " simd" : " scalar"));
+      core::kernels::SetBackend(b);
+      core::SetNumThreads(n);
+      GetParam().augmenter->Invalidate();
+      core::Rng rng(13);
+      const core::Dataset balanced =
+          TryBalanceWithAugmenter(train, *GetParam().augmenter, rng).value();
+      std::vector<core::TimeSeries> got;
+      for (int i = train.size(); i < balanced.size(); ++i) {
+        got.push_back(balanced.series(i));
+      }
+      if (reference.empty()) {
+        reference = got;
+        continue;
+      }
+      ASSERT_EQ(got.size(), reference.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(SameBits(got[i], reference[i])) << "series " << i;
+      }
+    }
+  }
+  core::kernels::SetBackend(backend);
+  core::SetNumThreads(threads);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Taxonomy, AugmenterProperty, ::testing::ValuesIn(AllEntries()),
     [](const ::testing::TestParamInfo<NamedEntry>& param_info) {
@@ -123,14 +174,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-/// Bit-pattern equality: unlike operator==, a NaN equals the same NaN.
-bool SameBits(const core::TimeSeries& a, const core::TimeSeries& b) {
-  return a.num_channels() == b.num_channels() && a.length() == b.length() &&
-         (a.values().empty() ||
-          std::memcmp(a.values().data(), b.values().data(),
-                      a.values().size() * sizeof(double)) == 0);
-}
 
 void ExpectInputLeads(const core::Dataset& input,
                       const core::StatusOr<core::Dataset>& out,

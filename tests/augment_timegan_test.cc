@@ -47,7 +47,6 @@ TEST(TimeGan, PaperScaleConfigMatchesPaper) {
   EXPECT_EQ(config.supervised_iterations, 2500);
   EXPECT_EQ(config.joint_iterations, 1000);
   EXPECT_EQ(config.hidden_dim, 10);
-  EXPECT_DOUBLE_EQ(config.gamma, 1.0);
   EXPECT_DOUBLE_EQ(config.learning_rate, 5e-4);
   EXPECT_EQ(config.batch_size, 32);
 }

@@ -154,6 +154,50 @@ TEST(BackendParity, RotateRows) {
   }
 }
 
+// Two NaNs meeting in an add: x86 keeps the first source operand's, so
+// the accumulating entries must keep y as that operand in both tables.
+// Every lane mixes the signs of y's and the addend's NaNs (and, for
+// relu_bwd, of x), across vector bodies and scalar tails, at every row
+// alignment.
+TEST(BackendParity, AccumulatingEntriesKeepTheAccumulatorsNaN) {
+  SKIP_WITHOUT_SIMD();
+  const kernels::KernelTable& scalar = kernels::ScalarKernels();
+  const kernels::KernelTable& simd = *kernels::SimdKernels();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int n = 0; n <= 13; ++n) {
+    for (int offset = 0; offset < 4; ++offset) {
+      std::vector<double> g(static_cast<size_t>(n + 4));
+      std::vector<double> x(g.size());
+      std::vector<double> y(g.size());
+      for (size_t i = 0; i < g.size(); ++i) {
+        y[i] = i % 2 == 0 ? nan : -nan;
+        g[i] = i % 2 == 0 ? -nan : nan;
+        x[i] = i % 3 == 0 ? -1.0 : (i % 3 == 1 ? 2.0 : nan);
+      }
+      const size_t bytes = y.size() * sizeof(double);
+
+      std::vector<double> ys = y, yv = y;
+      scalar.ew_add_acc(g.data() + offset, ys.data() + offset, n);
+      simd.ew_add_acc(g.data() + offset, yv.data() + offset, n);
+      EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), bytes))
+          << "ew_add_acc n=" << n << " offset=" << offset;
+      EXPECT_EQ(0, std::memcmp(ys.data(), y.data(), bytes))
+          << "ew_add_acc lost y's NaN, n=" << n;
+
+      ys = y;
+      yv = y;
+      scalar.ew_relu_bwd_acc(g.data() + offset, x.data() + offset,
+                             ys.data() + offset, n);
+      simd.ew_relu_bwd_acc(g.data() + offset, x.data() + offset,
+                           yv.data() + offset, n);
+      EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), bytes))
+          << "ew_relu_bwd_acc n=" << n << " offset=" << offset;
+      EXPECT_EQ(0, std::memcmp(ys.data(), y.data(), bytes))
+          << "ew_relu_bwd_acc lost y's NaN, n=" << n;
+    }
+  }
+}
+
 // The panel kernels read their rows at b + t*ldb. Conv1dSame walks one
 // padded row with ldb = dilation (rows overlap) and, for dX, ldb =
 // -dilation; both tables must agree there for every length and alignment.

@@ -63,14 +63,16 @@ TEST(InceptionNetwork, LogitsShapeAndGradFlow) {
 }
 
 TEST(InceptionNetwork, ResidualNetworkHasShortcuts) {
+  // Children: one per module, a 1x1 conv and a batch norm per shortcut
+  // (one every third module), and the head.
   core::Rng rng(5);
-  InceptionTimeConfig with = TinyConfig();
-  InceptionTimeConfig without = TinyConfig();
-  without.use_residual = false;
-  InceptionNetwork net_with(2, 2, with, rng);
-  InceptionNetwork net_without(2, 2, without, rng);
-  EXPECT_GT(net_with.AllParameters().size(),
-            net_without.AllParameters().size());
+  InceptionTimeConfig config = TinyConfig();
+  for (int depth : {2, 3, 6}) {
+    config.depth = depth;
+    InceptionNetwork net(2, 2, config, rng);
+    EXPECT_EQ(net.Children().size(),
+              static_cast<size_t>(depth + 2 * (depth / 3) + 1));
+  }
 }
 
 TEST(InceptionTimeClassifier, LearnsSeparableClasses) {

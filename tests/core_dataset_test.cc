@@ -24,10 +24,9 @@ TEST(Dataset, AddTracksClasses) {
   EXPECT_EQ(data.ClassCounts(), (std::vector<int>{6, 2, 4}));
 }
 
-TEST(Dataset, MajorityAndMinority) {
+TEST(Dataset, Majority) {
   Dataset data = MakeImbalanced();
   EXPECT_EQ(data.MajorityClass(), 0);
-  EXPECT_EQ(data.MinorityClass(), 1);
 }
 
 TEST(Dataset, IndicesByClassPartition) {
@@ -38,14 +37,6 @@ TEST(Dataset, IndicesByClassPartition) {
   for (const auto& members : by_class) total += static_cast<int>(members.size());
   EXPECT_EQ(total, data.size());
   for (int i : by_class[1]) EXPECT_EQ(data.label(i), 1);
-}
-
-TEST(Dataset, FilterClassKeepsLabelSpace) {
-  Dataset data = MakeImbalanced();
-  Dataset only_two = data.FilterClass(2);
-  EXPECT_EQ(only_two.size(), 4);
-  EXPECT_EQ(only_two.num_classes(), 3);  // label space preserved
-  for (int i = 0; i < only_two.size(); ++i) EXPECT_EQ(only_two.label(i), 2);
 }
 
 TEST(Dataset, SubsetPreservesOrder) {
@@ -82,14 +73,6 @@ TEST(Dataset, StratifiedSplitNeverEmptiesSmallClass) {
   EXPECT_EQ(small.ClassCounts()[1], 1);
 }
 
-TEST(Dataset, ShuffledIsPermutation) {
-  Dataset data = MakeImbalanced();
-  Rng rng(11);
-  Dataset shuffled = data.Shuffled(rng);
-  EXPECT_EQ(shuffled.size(), data.size());
-  EXPECT_EQ(shuffled.ClassCounts(), data.ClassCounts());
-}
-
 TEST(Dataset, VariableLengthHelpers) {
   Dataset data;
   data.Add(TimeSeries(2, 5), 0);
@@ -98,15 +81,6 @@ TEST(Dataset, VariableLengthHelpers) {
   EXPECT_EQ(data.min_length(), 5);
   EXPECT_FALSE(data.IsRectangular());
   EXPECT_EQ(data.num_channels(), 2);
-}
-
-TEST(Dataset, AppendMergesInstances) {
-  Dataset a = MakeImbalanced();
-  Dataset b;
-  b.Add(Series(99), 1);
-  a.Append(b);
-  EXPECT_EQ(a.size(), 13);
-  EXPECT_EQ(a.ClassCounts()[1], 3);
 }
 
 }  // namespace

@@ -118,11 +118,13 @@ TEST(FaultPoint, SetSpecResetsCounters) {
 TEST(FaultPoint, MalformedRulesAreSkippedNotFatal) {
   // A typo in TSAUG_FAULTS must not abort the run it was meant to probe:
   // bad rules are skipped with a warning, good ones still apply.
-  SpecGuard guard("nonsense,also:bad:,ridge.solve:1,:,x:0,y:-1");
+  SpecGuard guard(
+      "nonsense,also:bad:,ridge.solve:1,:,x:0,y:-1,z:99999999999999999999");
   EXPECT_TRUE(Enabled());
   EXPECT_TRUE(ShouldFail("ridge.solve"));
   EXPECT_FALSE(ShouldFail("x"));
   EXPECT_FALSE(ShouldFail("y"));
+  EXPECT_FALSE(ShouldFail("z"));  // count out of range
 }
 
 TEST(FaultPoint, AllMalformedSpecDisables) {

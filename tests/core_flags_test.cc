@@ -70,6 +70,14 @@ TEST(ParseFlags, AppliesKnownFlagsAndNamesTheFirstBadOne) {
   EXPECT_TRUE(list);
   EXPECT_TRUE(parse({}).ok());
 
+  // The `--name=VALUE` form, an empty value included.
+  ASSERT_TRUE(parse({"--port=9090", "--out=", "--linger-ms=0.5"}).ok());
+  EXPECT_EQ(port, 9090);
+  EXPECT_EQ(path, "");
+  EXPECT_EQ(linger, 0.5);
+  ASSERT_TRUE(parse({"--out=a=b"}).ok());
+  EXPECT_EQ(path, "a=b");
+
   struct Case {
     std::vector<const char*> args;
     const char* message;
@@ -83,6 +91,11 @@ TEST(ParseFlags, AppliesKnownFlagsAndNamesTheFirstBadOne) {
       {{"--port", "70000"}, "bad value '70000' for --port"},
       {{"--linger-ms", "-1"}, "bad value '-1' for --linger-ms"},
       {{"8080"}, "unknown flag 8080"},
+      {{"--port=abc"}, "bad value 'abc' for --port"},
+      {{"--port="}, "bad value '' for --port"},
+      {{"--linger-ms=-1"}, "bad value '-1' for --linger-ms"},
+      {{"--bogus=1"}, "unknown flag --bogus"},
+      {{"--list=1"}, "--list takes no value"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.message);

@@ -22,53 +22,5 @@ TEST(SeriesCsv, EmitsNaNLiteral) {
   EXPECT_NE(out.str().find("NaN"), std::string::npos);
 }
 
-TEST(DatasetCsv, RoundTripsThroughStream) {
-  Dataset data;
-  data.Add(TimeSeries::FromChannels({{1.5, 2.5}, {3.5, 4.5}}), 0);
-  data.Add(TimeSeries::FromChannels({{-1, 0}, {7, 8}}), 2);
-
-  std::stringstream buffer;
-  WriteDatasetCsv(data, buffer);
-  Dataset loaded;
-  ASSERT_TRUE(ReadDatasetCsv(buffer, &loaded));
-  ASSERT_EQ(loaded.size(), 2);
-  EXPECT_EQ(loaded.series(0), data.series(0));
-  EXPECT_EQ(loaded.series(1), data.series(1));
-  EXPECT_EQ(loaded.label(0), 0);
-  EXPECT_EQ(loaded.label(1), 2);
-}
-
-TEST(DatasetCsv, RoundTripsNaN) {
-  Dataset data;
-  data.Add(TimeSeries::FromChannels({{1, std::nan(""), 3}}), 1);
-  std::stringstream buffer;
-  WriteDatasetCsv(data, buffer);
-  Dataset loaded;
-  ASSERT_TRUE(ReadDatasetCsv(buffer, &loaded));
-  EXPECT_TRUE(std::isnan(loaded.series(0).at(0, 1)));
-  EXPECT_DOUBLE_EQ(loaded.series(0).at(0, 2), 3.0);
-}
-
-TEST(DatasetCsv, RejectsGarbage) {
-  std::stringstream buffer("not,a,valid\nheader at all");
-  Dataset loaded;
-  EXPECT_FALSE(ReadDatasetCsv(buffer, &loaded));
-}
-
-TEST(DatasetCsv, FileRoundTrip) {
-  Dataset data;
-  data.Add(TimeSeries::FromChannels({{9, 8, 7}}), 0);
-  const std::string path = "/tmp/tsaug_io_test.csv";
-  ASSERT_TRUE(WriteDatasetCsv(data, path));
-  Dataset loaded;
-  ASSERT_TRUE(ReadDatasetCsv(path, &loaded));
-  EXPECT_EQ(loaded.series(0), data.series(0));
-}
-
-TEST(DatasetCsv, MissingFileFails) {
-  Dataset loaded;
-  EXPECT_FALSE(ReadDatasetCsv("/nonexistent/path.csv", &loaded));
-}
-
 }  // namespace
 }  // namespace tsaug::core

@@ -391,17 +391,6 @@ TEST(TraceExport, CountersOnlyJsonBytesArePinned) {
             "\"scopes\":[]}");
 }
 
-TEST(TraceExport, TextReportListsScopesAndCounters) {
-  TraceToggleGuard guard;
-  trace::Reset();
-  trace::Enable();
-  { TSAUG_TRACE_SCOPE("text_scope"); }
-  trace::AddCount("text_counter", 7);
-  const std::string text = trace::ReportText();
-  EXPECT_NE(text.find("text_scope"), std::string::npos) << text;
-  EXPECT_NE(text.find("text_counter = 7"), std::string::npos) << text;
-}
-
 TEST(TraceClock, StopwatchAndNanosAreMonotone) {
   const std::int64_t t0 = trace::NowNanos();
   trace::Stopwatch watch;

@@ -422,21 +422,53 @@ TEST(ApplyGridFlags, ParsesBothSeparateAndEqualsForms) {
   BenchSettings settings;
   const char* argv_equals[] = {"bench", "--journal=/tmp/a.jsonl",
                                "--cell-budget-seconds=1.5"};
-  ApplyGridFlags(3, const_cast<char**>(argv_equals), settings);
+  ASSERT_TRUE(
+      ApplyGridFlags(3, const_cast<char**>(argv_equals), settings).ok());
   EXPECT_EQ(settings.journal_path, "/tmp/a.jsonl");
   EXPECT_DOUBLE_EQ(settings.cell_budget_seconds, 1.5);
 
   const char* argv_separate[] = {"bench", "--journal", "/tmp/b.jsonl",
                                  "--cell-budget-seconds", "30"};
-  ApplyGridFlags(5, const_cast<char**>(argv_separate), settings);
+  ASSERT_TRUE(
+      ApplyGridFlags(5, const_cast<char**>(argv_separate), settings).ok());
   EXPECT_EQ(settings.journal_path, "/tmp/b.jsonl");
   EXPECT_DOUBLE_EQ(settings.cell_budget_seconds, 30.0);
+}
 
-  // Flags the grid does not own are left for the caller; a trailing flag
-  // with no value is ignored rather than read out of bounds.
-  const char* argv_odd[] = {"bench", "--other", "--journal"};
-  ApplyGridFlags(3, const_cast<char**>(argv_odd), settings);
-  EXPECT_EQ(settings.journal_path, "/tmp/b.jsonl");
+TEST(ApplyGridFlags, RejectsMalformedNegativeAndUnknownFlags) {
+  // Each case is kInvalidArgument and leaves the settings as they were:
+  // a budget that read as 0 would silently turn the deadline off.
+  struct Case {
+    std::vector<const char*> args;
+    const char* message;
+  };
+  const Case cases[] = {
+      {{"--cell-budget-seconds=abc"}, "bad value 'abc' for --cell-budget-seconds"},
+      {{"--cell-budget-seconds", "abc"}, "bad value 'abc' for --cell-budget-seconds"},
+      {{"--cell-budget-seconds=-5"}, "bad value '-5' for --cell-budget-seconds"},
+      {{"--cell-budget-seconds", "1.5s"}, "bad value '1.5s' for --cell-budget-seconds"},
+      {{"--cell-budget-seconds=nan"}, "bad value 'nan' for --cell-budget-seconds"},
+      {{"--cell-budget-seconds="}, "bad value '' for --cell-budget-seconds"},
+      {{"--journal", "/tmp/c.jsonl", "--cell-budget-seconds"},
+       "missing value for --cell-budget-seconds"},
+      {{"--journal=/tmp/c.jsonl", "--other"}, "unknown flag --other"},
+      {{"--budget=1"}, "unknown flag --budget"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.message);
+    BenchSettings settings;
+    settings.journal_path = "/tmp/keep.jsonl";
+    settings.cell_budget_seconds = 7.0;
+    std::vector<const char*> argv = c.args;
+    argv.insert(argv.begin(), "bench");
+    const core::Status status = ApplyGridFlags(
+        static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+        settings);
+    EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.context(), c.message);
+    EXPECT_EQ(settings.journal_path, "/tmp/keep.jsonl");
+    EXPECT_DOUBLE_EQ(settings.cell_budget_seconds, 7.0);
+  }
 }
 
 TEST(ConfigFingerprint, CoversIdentityButNotDurabilityKnobs) {

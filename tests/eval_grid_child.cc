@@ -23,6 +23,7 @@
 #include "augment/augmenter.h"
 #include "augment/noise.h"
 #include "augment/oversample.h"
+#include "core/flags.h"
 #include "core/status.h"
 #include "data/synthetic.h"
 #include "eval/experiment.h"
@@ -79,7 +80,13 @@ int main() {
   config.rocket_kernels = 80;
   config.seed = 5;
   config.journal_path = EnvOr("TSAUG_CHILD_JOURNAL", "");
-  config.cell_budget_seconds = std::atof(EnvOr("TSAUG_CHILD_BUDGET", "0").c_str());
+  const std::string budget = EnvOr("TSAUG_CHILD_BUDGET", "0");
+  if (!tsaug::core::ParseDouble(budget.c_str(), 0.0, 1e9,
+                                &config.cell_budget_seconds)) {
+    std::cerr << "eval_grid_child: bad TSAUG_CHILD_BUDGET '" << budget
+              << "'\n";
+    return 2;
+  }
 
   const std::vector<std::shared_ptr<Augmenter>> techniques = {
       std::make_shared<tsaug::augment::NoiseInjection>(1.0),

@@ -68,7 +68,7 @@ int Counter(const std::string& trace_json, const std::string& name) {
   const std::string key = "\"" + name + "\":";
   const std::size_t pos = trace_json.find(key);
   if (pos == std::string::npos) return 0;
-  return std::atoi(trace_json.c_str() + pos + key.size());
+  return std::stoi(trace_json.substr(pos + key.size()));
 }
 
 /// Runs the unsharded golden report into `out` and returns its bytes.

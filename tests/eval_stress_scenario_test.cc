@@ -67,7 +67,7 @@ int Counter(const std::string& trace_json, const std::string& name) {
   const std::string key = "\"" + name + "\":";
   const std::size_t pos = trace_json.find(key);
   if (pos == std::string::npos) return 0;
-  return std::atoi(trace_json.c_str() + pos + key.size());
+  return std::stoi(trace_json.substr(pos + key.size()));
 }
 
 /// Number of occurrences of `needle` in `haystack`.
@@ -113,7 +113,7 @@ std::vector<ReportCell> ParseReport(const std::string& report) {
     const std::uint64_t bits =
         std::strtoull(line.c_str() + bits_pos + 6, nullptr, 10);
     std::memcpy(&cell.accuracy, &bits, sizeof(cell.accuracy));
-    cell.failed = std::atoi(line.c_str() + failed_pos + 8);
+    cell.failed = std::stoi(line.substr(failed_pos + 8));
     cell.err = line.substr(err_pos + 5);
     cells.push_back(std::move(cell));
   }

@@ -27,7 +27,6 @@ TEST(Matrix, FromRowsAndAccess) {
   EXPECT_EQ(m.cols(), 3);
   EXPECT_DOUBLE_EQ(m(1, 2), 6.0);
   EXPECT_EQ(m.Row(0), (std::vector<double>{1, 2, 3}));
-  EXPECT_EQ(m.Col(1), (std::vector<double>{2, 5}));
 }
 
 TEST(Matrix, TransposedInvolution) {

@@ -48,7 +48,7 @@ std::int64_t CounterFromJson(const std::string& json,
   const std::string key = "\"" + name + "\":";
   const std::size_t pos = json.find(key);
   if (pos == std::string::npos) return 0;
-  return std::atoll(json.c_str() + pos + key.size());
+  return std::stoll(json.substr(pos + key.size()));
 }
 
 /// A serve_main child: fork/exec with a port-file handshake, SIGTERM to
@@ -84,7 +84,7 @@ class ServerProcess {
     for (int tries = 0; tries < 500; ++tries) {
       const std::string text = ReadAll(port_file_);
       if (!text.empty() && text.back() == '\n') {
-        port_ = std::atoi(text.c_str());
+        port_ = std::stoi(text);
         break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
