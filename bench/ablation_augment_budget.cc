@@ -26,23 +26,24 @@ int main() {
     std::printf("%-24s", name.c_str());
 
     const std::uint64_t run_seed = settings.seed + 7919;
-    const double baseline = tsaug::eval::TryTrainAndScore(
-        config, data.train, {}, data.test, run_seed).value().accuracy;
+    const double baseline =
+        tsaug::bench::ValueOrExit(tsaug::eval::TryTrainAndScore(
+            config, data.train, {}, data.test, run_seed)).accuracy;
     std::printf(" %9.2f", 100.0 * baseline);
 
     for (double extra : {0.0, 0.5, 1.0}) {
       tsaug::augment::Smote smote;
       tsaug::core::Rng rng(run_seed);
-      tsaug::core::Dataset augmented =
-          tsaug::augment::TryBalanceWithAugmenter(data.train, smote, rng)
-              .value();
+      tsaug::core::Dataset augmented = tsaug::bench::ValueOrExit(
+          tsaug::augment::TryBalanceWithAugmenter(data.train, smote, rng));
       if (extra > 0.0) {
-        augmented =
-            tsaug::augment::TryExpandWithAugmenter(augmented, smote, extra, rng)
-                .value();
+        augmented = tsaug::bench::ValueOrExit(
+            tsaug::augment::TryExpandWithAugmenter(augmented, smote, extra,
+                                                   rng));
       }
-      const double accuracy = tsaug::eval::TryTrainAndScore(
-          config, augmented, {}, data.test, run_seed).value().accuracy;
+      const double accuracy =
+          tsaug::bench::ValueOrExit(tsaug::eval::TryTrainAndScore(
+              config, augmented, {}, data.test, run_seed)).accuracy;
       std::printf(" %9.2f", 100.0 * accuracy);
     }
     std::printf("\n");

@@ -30,8 +30,8 @@ int main() {
   for (const std::string& name : settings.datasets) {
     const tsaug::data::TrainTest data =
         tsaug::data::MakeUeaLikeDataset(name, settings.scale, settings.seed);
-    const tsaug::eval::DatasetRow row =
-        tsaug::eval::TryRunDatasetGrid(name, data, sweep, config).value();
+    const tsaug::eval::DatasetRow row = tsaug::bench::ValueOrExit(
+        tsaug::eval::TryRunDatasetGrid(name, data, sweep, config));
     std::printf("%-24s %8.2f", name.c_str(), 100.0 * row.baseline_accuracy);
     for (const tsaug::eval::CellResult& cell : row.cells) {
       std::printf(" %10.2f", 100.0 * cell.accuracy);

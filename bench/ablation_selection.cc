@@ -24,16 +24,16 @@ double ScoreWith(const tsaug::eval::ExperimentConfig& config,
   if (augmenter != nullptr) {
     augmenter->Invalidate();
     tsaug::core::Rng rng(seed);
-    effective =
-        tsaug::augment::TryBalanceWithAugmenter(train, *augmenter, rng).value();
+    effective = tsaug::bench::ValueOrExit(
+        tsaug::augment::TryBalanceWithAugmenter(train, *augmenter, rng));
     if (effective.size() == train.size()) {
-      effective =
-          tsaug::augment::TryExpandWithAugmenter(train, *augmenter, 0.5, rng)
-              .value();
+      effective = tsaug::bench::ValueOrExit(
+          tsaug::augment::TryExpandWithAugmenter(train, *augmenter, 0.5, rng));
     }
   }
-  return tsaug::eval::TryTrainAndScore(config, effective, {}, test, seed)
-      .value().accuracy;
+  return tsaug::bench::ValueOrExit(
+             tsaug::eval::TryTrainAndScore(config, effective, {}, test, seed))
+      .accuracy;
 }
 
 }  // namespace

@@ -40,8 +40,8 @@ int main() {
   for (const std::string& name : settings.datasets) {
     const tsaug::data::TrainTest data =
         tsaug::data::MakeUeaLikeDataset(name, settings.scale, settings.seed);
-    const tsaug::eval::DatasetRow row =
-        tsaug::eval::TryRunDatasetGrid(name, data, sweep, config).value();
+    const tsaug::eval::DatasetRow row = tsaug::bench::ValueOrExit(
+        tsaug::eval::TryRunDatasetGrid(name, data, sweep, config));
     std::printf("\n%s (baseline %.2f):\n", name.c_str(),
                 100.0 * row.baseline_accuracy);
     for (const tsaug::eval::CellResult& cell : row.cells) {

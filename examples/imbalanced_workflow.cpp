@@ -48,7 +48,7 @@ double InceptionScore(const tsaug::core::Dataset& train,
 
 double KnnScore(const tsaug::core::Dataset& train,
                 const tsaug::core::Dataset& test) {
-  tsaug::classify::KnnClassifier clf(1, tsaug::classify::NnDistance::kDtw, 4);
+  tsaug::classify::KnnClassifier clf;
   return FitAndScore(clf, train, test);
 }
 

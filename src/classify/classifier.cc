@@ -21,18 +21,19 @@ double Classifier::Score(const core::Dataset& test) {
 
 nn::Tensor DatasetToTensor(const core::Dataset& dataset, int target_length,
                            bool z_normalize) {
-  TSAUG_CHECK(!dataset.empty());
-  const int length = target_length > 0 ? target_length : dataset.max_length();
+  TSAUG_CHECK(!dataset.empty() && target_length > 0);
   const int channels = dataset.num_channels();
-  nn::Tensor out({dataset.size(), channels, length});
+  nn::Tensor out({dataset.size(), channels, target_length});
   for (int i = 0; i < dataset.size(); ++i) {
     core::TimeSeries series = core::ImputeLinear(dataset.series(i));
-    if (series.length() != length) {
-      series = core::ResampleToLength(series, length);
+    if (series.length() != target_length) {
+      series = core::ResampleToLength(series, target_length);
     }
     if (z_normalize) series = core::ZNormalize(series);
     for (int c = 0; c < channels; ++c) {
-      for (int t = 0; t < length; ++t) out.at(i, c, t) = series.at(c, t);
+      for (int t = 0; t < target_length; ++t) {
+        out.at(i, c, t) = series.at(c, t);
+      }
     }
   }
   return out;

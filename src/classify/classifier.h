@@ -35,7 +35,7 @@ double Accuracy(const std::vector<int>& predicted,
 
 /// Converts a dataset to a rectangular [n, channels, length] tensor:
 /// missing values are linearly imputed and every series is resampled to
-/// `target_length` (pass <= 0 to use the collection's maximum length).
+/// `target_length`, which must be positive.
 /// When `z_normalize` is set, each series is per-channel z-normalised, the
 /// standard UEA preprocessing both models assume.
 nn::Tensor DatasetToTensor(const core::Dataset& dataset, int target_length,

@@ -24,7 +24,6 @@ RocketTransform::RocketTransform(int num_kernels, std::uint64_t seed)
 
 void RocketTransform::Fit(int num_channels, int series_length) {
   TSAUG_CHECK(num_channels >= 1 && series_length >= 2);
-  series_length_ = series_length;
   core::Rng rng(seed_);
   kernels_.clear();
   kernels_.reserve(static_cast<size_t>(num_kernels_));

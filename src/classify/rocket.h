@@ -36,7 +36,6 @@ class RocketTransform {
   bool fitted() const { return !kernels_.empty(); }
   int num_kernels() const { return num_kernels_; }
   std::uint64_t seed() const { return seed_; }
-  int series_length() const { return series_length_; }
   const std::vector<RocketKernel>& kernels() const { return kernels_; }
 
   /// Features of one rectangular tensor [n, channels, length]:
@@ -46,7 +45,6 @@ class RocketTransform {
  private:
   int num_kernels_;
   std::uint64_t seed_;
-  int series_length_ = 0;
   std::vector<RocketKernel> kernels_;
 };
 
@@ -106,7 +104,6 @@ class RocketClassifier : public Classifier {
   [[nodiscard]] core::Status TryFit(const core::Dataset& train) override;
   std::vector<int> Predict(const core::Dataset& test) override;
 
-  const RocketTransform& transform() const { return transform_; }
   const linalg::RidgeClassifierCV& ridge() const { return ridge_; }
 
  private:

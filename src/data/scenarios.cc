@@ -489,13 +489,6 @@ std::vector<std::string> ScenarioIds() {
   return ids;
 }
 
-const ScenarioInfo* FindScenario(const std::string& id) {
-  for (const ScenarioEntry& entry : Entries()) {
-    if (entry.info.id == id) return &entry.info;
-  }
-  return nullptr;
-}
-
 core::StatusOr<TrainTest> TryMakeScenarioDataset(const std::string& id,
                                                  std::uint64_t seed) {
   for (const ScenarioEntry& entry : Entries()) {

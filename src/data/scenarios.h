@@ -41,9 +41,6 @@ const std::vector<ScenarioInfo>& ScenarioCatalog();
 /// All catalog ids, in catalog order.
 std::vector<std::string> ScenarioIds();
 
-/// Catalog entry by id; nullptr when unknown.
-const ScenarioInfo* FindScenario(const std::string& id);
-
 /// Generates the train/test pair of one scenario. Deterministic in
 /// (id, seed); every draw comes from a stream derived from both, so two
 /// scenarios never share bits even under one study seed.

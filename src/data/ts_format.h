@@ -8,9 +8,9 @@
 
 namespace tsaug::data {
 
-/// Loader for the UEA/UCR `.ts` sktime format, so the study can run on the
-/// real archive when the files are available (the synthetic catalogue is
-/// used otherwise — see DESIGN.md).
+/// Loader for the UEA/UCR `.ts` sktime format: the path for running the
+/// study on the real archive once its files are in the repository. Until
+/// then every grid runs on the synthetic catalogue (see DESIGN.md).
 ///
 /// Supported subset:
 ///   - `#` comment lines and `@<directive>` header lines

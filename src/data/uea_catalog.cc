@@ -57,8 +57,8 @@ ScaleCaps CapsFor(ScalePreset scale) {
   return {};
 }
 
-}  // namespace
-
+/// A SyntheticSpec whose generated data matches `info`'s geometry at the
+/// chosen scale.
 SyntheticSpec SpecFromUeaInfo(const UeaDatasetInfo& info, ScalePreset scale,
                               std::uint64_t seed) {
   const ScaleCaps caps = CapsFor(scale);
@@ -98,6 +98,8 @@ SyntheticSpec SpecFromUeaInfo(const UeaDatasetInfo& info, ScalePreset scale,
   spec.seed = seed ^ std::hash<std::string>{}(info.name);
   return spec;
 }
+
+}  // namespace
 
 TrainTest MakeUeaLikeDataset(const std::string& name, ScalePreset scale,
                              std::uint64_t seed) {

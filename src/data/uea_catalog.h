@@ -41,13 +41,9 @@ enum class ScalePreset {
   kTiny,   // train<=28, test<=28, length<=32, dim<=4
 };
 
-/// A SyntheticSpec whose generated data matches `info`'s geometry at the
-/// chosen scale: class counts are fitted to the Table III imbalance degree,
-/// dims/lengths/sizes are capped per preset.
-SyntheticSpec SpecFromUeaInfo(const UeaDatasetInfo& info, ScalePreset scale,
-                              std::uint64_t seed);
-
-/// Generates the UEA-like synthetic train/test pair for a catalogue entry.
+/// Generates the UEA-like synthetic train/test pair for a catalogue entry:
+/// its geometry at the chosen scale, with class counts fitted to the Table
+/// III imbalance degree and dims/lengths/sizes capped per preset.
 TrainTest MakeUeaLikeDataset(const std::string& name, ScalePreset scale,
                              std::uint64_t seed);
 

@@ -68,7 +68,6 @@ class Journal {
     core::MutexLock lock(append_mu_);
     return file_ != nullptr;
   }
-  const std::string& path() const { return path_; }
 
   /// Appends one completed cell and flushes. Thread-safe. Consults the
   /// "journal.flush" fault point first, so tests can inject a write

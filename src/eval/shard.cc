@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -21,7 +22,20 @@
 #include "eval/journal.h"
 
 namespace tsaug::eval {
+namespace {
 
+/// Restarts allowed per shard after its first attempt: a shard still
+/// failing after 1 + kMaxRetries attempts is marked failed and the run
+/// continues without it.
+constexpr int kMaxRetries = 2;
+/// Backoff before the k-th restart of a shard:
+/// min(kBackoffMaxMs, kBackoffInitialMs * 2^(k-1)).
+constexpr int kBackoffInitialMs = 50;
+constexpr int kBackoffMaxMs = 2000;
+/// Supervisor poll cadence (exit-status reaps, heartbeats, backoff).
+constexpr int kPollIntervalMs = 20;
+
+/// Stable 64-bit fingerprint of one grid cell's identity (see ShardOfCell).
 std::uint64_t CellFingerprint(const std::string& dataset, int run, int cell) {
   std::string key = dataset;
   key += "/run";
@@ -38,6 +52,16 @@ std::uint64_t CellFingerprint(const std::string& dataset, int run, int cell) {
   return hash;
 }
 
+/// The per-shard journal file inside a supervisor's journal directory.
+std::string ShardJournalPath(const std::string& journal_dir, int shard) {
+  std::string name = "shard-";
+  name += std::to_string(shard);
+  name += ".jsonl";
+  return (std::filesystem::path(journal_dir) / name).string();
+}
+
+}  // namespace
+
 int ShardOfCell(const std::string& dataset, int run, int cell,
                 int shard_count) {
   if (shard_count <= 1) return 0;
@@ -50,13 +74,6 @@ int ShardOfCell(const std::string& dataset, int run, int cell,
   const std::uint64_t index = CellFingerprint(dataset, run, cell) / slice;
   const std::uint64_t last = static_cast<std::uint64_t>(shard_count) - 1;
   return static_cast<int>(index < last ? index : last);
-}
-
-std::string ShardJournalPath(const std::string& journal_dir, int shard) {
-  std::string name = "shard-";
-  name += std::to_string(shard);
-  name += ".jsonl";
-  return (std::filesystem::path(journal_dir) / name).string();
 }
 
 core::StatusOr<StudyResult> RunShardedStudy(
@@ -213,14 +230,11 @@ std::uintmax_t JournalSizeOrZero(const std::string& path) {
   return ec ? 0 : size;
 }
 
-/// min(backoff_max, backoff_initial * 2^(failures-1)) in nanoseconds.
-std::int64_t BackoffNanos(const SupervisorOptions& options, int failures) {
-  double ms = static_cast<double>(options.backoff_initial_ms);
-  const double cap = static_cast<double>(options.backoff_max_ms);
-  for (int i = 1; i < failures && ms < cap; ++i) ms *= 2.0;
-  if (ms > cap) ms = cap;
-  if (ms < 0.0) ms = 0.0;
-  return static_cast<std::int64_t>(ms * 1e6);
+/// min(kBackoffMaxMs, kBackoffInitialMs * 2^(failures-1)) in nanoseconds.
+std::int64_t BackoffNanos(int failures) {
+  std::int64_t ms = kBackoffInitialMs;
+  for (int i = 1; i < failures && ms < kBackoffMaxMs; ++i) ms *= 2;
+  return std::min<std::int64_t>(ms, kBackoffMaxMs) * 1'000'000;
 }
 
 core::Status SpawnWorker(const SupervisorOptions& options, WorkerSlot& slot) {
@@ -276,11 +290,11 @@ core::Status DescribeWaitStatus(const WorkerSlot& slot, int wait_status) {
   return core::UnavailableError(std::move(text));
 }
 
-void RecordFailure(const SupervisorOptions& options, WorkerSlot& slot,
-                   core::Status failure, std::int64_t now_nanos) {
+void RecordFailure(WorkerSlot& slot, core::Status failure,
+                   std::int64_t now_nanos) {
   slot.last_failure = std::move(failure);
   slot.hang_killed = false;
-  if (slot.attempts >= options.max_retries + 1) {
+  if (slot.attempts >= kMaxRetries + 1) {
     slot.state = WorkerSlot::State::kFailed;
     core::trace::AddCount("shard.failed");
     std::fprintf(stderr,
@@ -289,7 +303,7 @@ void RecordFailure(const SupervisorOptions& options, WorkerSlot& slot,
                  slot.last_failure.ToString().c_str());
     return;
   }
-  const std::int64_t backoff = BackoffNanos(options, slot.attempts);
+  const std::int64_t backoff = BackoffNanos(slot.attempts);
   slot.state = WorkerSlot::State::kPending;
   slot.eligible_at_nanos = now_nanos + backoff;
   core::trace::AddCount("shard.retried");
@@ -329,8 +343,6 @@ core::StatusOr<SuperviseResult> SuperviseShards(
 
   const std::int64_t hang_nanos =
       static_cast<std::int64_t>(options.hang_timeout_ms) * 1'000'000;
-  const int poll_ms = options.poll_interval_ms > 0 ? options.poll_interval_ms
-                                                   : 20;
   bool interrupted = false;
 
   auto unfinished = [&slots] {
@@ -392,7 +404,7 @@ core::StatusOr<SuperviseResult> SuperviseShards(
         slot.last_journal_size = JournalSizeOrZero(slot.journal_path);
         core::trace::AddCount("shard.spawned");
       } else {
-        RecordFailure(options, slot, std::move(spawned), now);
+        RecordFailure(slot, std::move(spawned), now);
       }
     }
 
@@ -412,8 +424,7 @@ core::StatusOr<SuperviseResult> SuperviseShards(
         slot->last_failure = core::OkStatus();
         core::trace::AddCount("shard.completed");
       } else {
-        RecordFailure(options, *slot, DescribeWaitStatus(*slot, wait_status),
-                      now);
+        RecordFailure(*slot, DescribeWaitStatus(*slot, wait_status), now);
       }
     }
 
@@ -439,7 +450,7 @@ core::StatusOr<SuperviseResult> SuperviseShards(
       }
     }
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
+    std::this_thread::sleep_for(std::chrono::milliseconds(kPollIntervalMs));
   }
 
   SuperviseResult result;

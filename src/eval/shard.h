@@ -40,19 +40,14 @@ namespace tsaug::eval {
 /// marked failed; the run keeps going and the missing cells surface in the
 /// final report as failed (kUnavailable), never as accuracy 0.
 
-/// Stable 64-bit fingerprint of one grid cell's identity (FNV-1a over
-/// "dataset/run<run>/cell<cell>"). Depends only on the cell coordinates,
-/// never on configuration, so a journal written by an M-shard run can be
-/// merged and replayed by an N-shard (or unsharded) one.
-std::uint64_t CellFingerprint(const std::string& dataset, int run, int cell);
-
-/// The shard that owns a cell: fingerprints are range-partitioned into
-/// `shard_count` equal slices. shard_count <= 1 maps everything to 0.
+/// The shard that owns a cell: a stable 64-bit fingerprint of the cell's
+/// identity (FNV-1a over "dataset/run<run>/cell<cell>") range-partitioned
+/// into `shard_count` equal slices. It depends only on the cell
+/// coordinates, never on configuration, so a journal written by an
+/// M-shard run can be merged and replayed by an N-shard (or unsharded)
+/// one. shard_count <= 1 maps everything to 0.
 int ShardOfCell(const std::string& dataset, int run, int cell,
                 int shard_count);
-
-/// The per-shard journal file inside a supervisor's journal directory.
-std::string ShardJournalPath(const std::string& journal_dir, int shard);
 
 /// Materialises one catalogue dataset by name (the study loader is a
 /// seam so tests can shard over synthetic toys).
@@ -86,25 +81,16 @@ struct SupervisorOptions {
   /// `--worker --shard i/N --attempt k --journal <path>`. Workers inherit
   /// the environment, so the TSAUG_* grid knobs need no forwarding.
   std::vector<std::string> worker_command;
-  /// Directory for the per-shard journals (created if absent).
+  /// Directory for the per-shard journals shard-<i>.jsonl (created if
+  /// absent).
   std::string journal_dir;
   int shard_count = 2;
-  /// Restarts allowed per shard after its first attempt. A shard still
-  /// failing after 1 + max_retries attempts is marked failed; the run
-  /// continues without it.
-  int max_retries = 2;
-  /// Exponential backoff before the k-th restart of a shard:
-  /// min(backoff_max_ms, backoff_initial_ms * 2^(k-1)).
-  int backoff_initial_ms = 50;
-  int backoff_max_ms = 2000;
   /// A worker whose journal has not grown for this long is presumed hung,
   /// SIGKILLed and retried. 0 disables hang detection; when enabling it,
   /// the timeout must exceed the worst-case single-cell time — journal
   /// appends are the heartbeat, and a cell mid-computation appends
   /// nothing.
   int hang_timeout_ms = 0;
-  /// Supervisor poll cadence (exit-status reaps, heartbeats, backoff).
-  int poll_interval_ms = 20;
 };
 
 /// Final state of one supervised shard.
@@ -128,10 +114,11 @@ struct SuperviseResult {
   bool interrupted = false;
 };
 
-/// Spawns one worker process per shard and supervises them to completion:
-/// reaps exits, restarts failures with bounded exponential backoff, kills
-/// and retries hung workers (journal-size heartbeats), and marks shards
-/// failed after max_retries without sinking the run. Returns an error
+/// Spawns one worker process per shard and supervises them to completion,
+/// polling every 20 ms: reaps exits, restarts a failed worker after a
+/// backoff of 50 ms doubling per failure up to 2 s, kills and retries hung
+/// workers (journal-size heartbeats), and marks a shard failed after 2
+/// restarts (3 attempts) without sinking the run. Returns an error
 /// Status only for supervisor-side misuse (empty worker command, bad
 /// journal dir); worker failures are reported per shard in the result.
 ///

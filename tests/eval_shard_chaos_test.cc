@@ -1,6 +1,8 @@
-// Chaos tests for the sharded grid supervisor (eval/shard.h), driven
-// through the real tools/grid_shard_main binary (path in TSAUG_SHARD_BIN)
-// with real fork/exec worker processes:
+// The shard partition (eval/shard.h) in-process, then chaos tests for the
+// sharded grid supervisor, driven through the real tools/grid_shard_main
+// binary (path in TSAUG_SHARD_BIN) with real fork/exec worker processes:
+//   - every paper-grid cell has an owner in [0, N), and fixed cells keep
+//     the owners journals written by older binaries were partitioned by;
 //   - a fault-free sharded run's merged report is byte-identical to the
 //     unsharded golden run;
 //   - a worker killed mid-shard by the shard.worker abort action is
@@ -18,8 +20,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "data/uea_catalog.h"
+#include "eval/shard.h"
 
 namespace tsaug::eval {
 namespace {
@@ -80,6 +86,52 @@ std::string GoldenReport(const std::string& tag, int threads) {
   return ReadAll(out);
 }
 
+TEST(ShardPartition, PaperGridOwnersAreInRangeAndStable) {
+  // The paper grid's cell identities: 13 datasets x 5 runs x (baseline +
+  // 5 techniques).
+  for (int shards : {1, 2, 3, 7}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::vector<int> owned(static_cast<size_t>(shards), 0);
+    for (const data::UeaDatasetInfo& info : data::UeaImbalancedCatalog()) {
+      for (int run = 0; run < 5; ++run) {
+        for (int cell = 0; cell < 6; ++cell) {
+          const int owner = ShardOfCell(info.name, run, cell, shards);
+          ASSERT_GE(owner, 0);
+          ASSERT_LT(owner, shards);
+          ++owned[static_cast<size_t>(owner)];
+        }
+      }
+    }
+    for (int count : owned) EXPECT_GT(count, 0);
+  }
+  for (int shards : {-1, 0, 1}) {
+    EXPECT_EQ(ShardOfCell("Epilepsy", 0, 0, shards), 0);
+    EXPECT_EQ(ShardOfCell("LSST", 4, 5, shards), 0);
+  }
+  // Owners under 2, 3 and 7 shards, fixed by the FNV-1a fingerprint: a
+  // change here re-partitions every journal already on disk.
+  struct Pinned {
+    const char* dataset;
+    int run;
+    int cell;
+    int owners[3];
+  };
+  const Pinned pinned[] = {
+      {"Epilepsy", 0, 0, {1, 2, 5}},
+      {"LSST", 4, 5, {1, 2, 6}},
+      {"EthanolConcentration", 2, 3, {0, 0, 2}},
+      {"PEMS-SF", 1, 1, {1, 2, 6}},
+      {"Heartbeat", 3, 4, {0, 1, 3}},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(std::string(p.dataset) + "/run" + std::to_string(p.run) +
+                 "/cell" + std::to_string(p.cell));
+    EXPECT_EQ(ShardOfCell(p.dataset, p.run, p.cell, 2), p.owners[0]);
+    EXPECT_EQ(ShardOfCell(p.dataset, p.run, p.cell, 3), p.owners[1]);
+    EXPECT_EQ(ShardOfCell(p.dataset, p.run, p.cell, 7), p.owners[2]);
+  }
+}
+
 TEST(ShardChaos, FaultFreeShardedRunMatchesGoldenByteForByte) {
   if (ShardBinary() == nullptr) GTEST_SKIP() << "TSAUG_SHARD_BIN unset";
   const std::string golden = GoldenReport("plain", 2);
@@ -116,7 +168,7 @@ TEST(ShardChaos, KilledWorkerIsRestartedByteIdenticalAtOneTwoEightThreads) {
     // past it. The attempt-tagged domain keeps the rule from re-firing.
     ASSERT_TRUE(ExitedCleanly(
         RunShard("--shards 2 --journal-dir '" + dir + "' --out '" + out +
-                     "' --trace-json '" + trace + "' --backoff-ms 10",
+                     "' --trace-json '" + trace + "'",
                  threads, "shard.worker@shard/0/attempt1:2!")));
     EXPECT_EQ(ReadAll(out), golden);
     const std::string counters = ReadAll(trace);
@@ -139,7 +191,7 @@ TEST(ShardChaos, SpawnFaultIsRetriedWithBackoff) {
   // retried (spawn failures consume an attempt) and complete.
   ASSERT_TRUE(ExitedCleanly(
       RunShard("--shards 2 --journal-dir '" + dir + "' --out '" + out +
-                   "' --trace-json '" + trace + "' --backoff-ms 10",
+                   "' --trace-json '" + trace + "'",
                2, "shard.spawn@shard/1:1")));
   EXPECT_EQ(ReadAll(out), golden);
   const std::string counters = ReadAll(trace);
@@ -160,8 +212,7 @@ TEST(ShardChaos, HungWorkerIsKilledOnHeartbeatStallAndRestarted) {
   // journal progress); the heartbeat monitor must SIGKILL and restart it.
   ASSERT_TRUE(ExitedCleanly(RunShard(
       "--shards 2 --journal-dir '" + dir + "' --out '" + out +
-          "' --trace-json '" + trace +
-          "' --backoff-ms 10 --hang-timeout-ms 400 --poll-ms 20",
+          "' --trace-json '" + trace + "' --hang-timeout-ms 400",
       2, "shard.hang@shard/1/attempt1:1")));
   EXPECT_EQ(ReadAll(out), golden);
   const std::string counters = ReadAll(trace);
@@ -180,13 +231,12 @@ TEST(ShardChaos, ExhaustedRetriesSurfaceAsFailedCellsNotAccuracyZero) {
   const std::string trace = TempDirFor("shard_fail_trace.json");
   std::filesystem::remove_all(dir);
   // Every attempt of shard 0 aborts at its first dataset (the "+" rule
-  // fires on every consultation), so the shard exhausts max-retries. The
+  // fires on every consultation), so the shard exhausts its retries. The
   // run must still exit 0: the surviving shard's cells are merged and the
   // dead shard's cells surface as explicit failures.
   ASSERT_TRUE(ExitedCleanly(
       RunShard("--shards 2 --journal-dir '" + dir + "' --out '" + out +
-                   "' --trace-json '" + trace +
-                   "' --backoff-ms 10 --max-retries 1",
+                   "' --trace-json '" + trace + "'",
                2, "shard.worker@shard/0:1+")));
   const std::string report = ReadAll(out);
   ASSERT_FALSE(report.empty());
@@ -220,9 +270,8 @@ TEST(ShardChaos, BadInputExitsTwoWithoutWritingAReport) {
       {"Epilepsy", "--shards -1"},
       {"Epilepsy", "--shards 99999999999"},
       {"Epilepsy", "--shards 0 --suite bogus"},
-      {"Epilepsy", "--shards 2 --max-retries two"},
-      {"Epilepsy", "--shards 2 --poll-ms 0"},
-      {"Epilepsy", "--shards 2 --backoff-ms"},
+      {"Epilepsy", "--shards 2 --hang-timeout-ms two"},
+      {"Epilepsy", "--shards 2 --hang-timeout-ms"},
       // Malformed TSAUG_* values are usage errors too, never a silent
       // default or an abort inside the grid.
       {"Epilepsy", "--shards 0", "TSAUG_RUNS=abc"},

@@ -229,7 +229,7 @@ TEST(StressScenarioGrid, KilledShardWorkerResumesByteIdentical) {
   // preflight failures included, since those rows are journaled too.
   ASSERT_TRUE(ExitedCleanly(
       RunStress("--shards 2 --journal-dir '" + dir + "' --out '" + out +
-                    "' --trace-json '" + trace + "' --backoff-ms 10",
+                    "' --trace-json '" + trace + "'",
                 2, "shard.worker@shard/0/attempt1:2!")));
   EXPECT_EQ(ReadAll(out), golden);
   const std::string counters = ReadAll(trace);

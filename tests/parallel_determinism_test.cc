@@ -181,14 +181,13 @@ TEST(ParallelDeterminism, DtwKnnPredictionsIdentical) {
   const data::TrainTest data = SmallData(13);
 
   core::SetNumThreads(1);
-  classify::KnnClassifier reference(3, classify::NnDistance::kDtw,
-                                    /*dtw_window=*/4);
+  classify::KnnClassifier reference;
   ASSERT_TRUE(reference.TryFit(data.train).ok());
   const std::vector<int> reference_predictions = reference.Predict(data.test);
 
   for (int threads : kThreadCounts) {
     core::SetNumThreads(threads);
-    classify::KnnClassifier clf(3, classify::NnDistance::kDtw, 4);
+    classify::KnnClassifier clf;
     ASSERT_TRUE(clf.TryFit(data.train).ok());
     EXPECT_EQ(reference_predictions, clf.Predict(data.test))
         << threads << " threads";

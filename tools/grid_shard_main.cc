@@ -26,12 +26,13 @@
 // Flags:
 //   --suite NAME         paper|stress                          (paper)
 //   --model NAME         rocket|inception                      (rocket)
-//   --max-retries R      restarts per shard after its first attempt (2)
-//   --backoff-ms B       initial restart backoff               (50)
-//   --backoff-max-ms M   backoff cap                           (2000)
-//   --hang-timeout-ms H  journal-heartbeat hang kill, 0 = off  (0)
-//   --poll-ms P          supervisor poll interval              (20)
+//   --hang-timeout-ms H  journal-heartbeat hang kill, 0 = off  (0); it
+//                        must exceed the worst single-cell time
 //   --trace-json PATH    enable tracing; write the report at exit
+//
+// The supervisor polls every 20 ms, restarts a failed worker after a
+// backoff of 50 ms doubling per failure up to 2 s, and marks a shard failed
+// after 2 restarts (eval/shard.h).
 //
 // The grid itself (scale, runs, kernels, datasets, techniques, seed) is
 // configured via the TSAUG_* environment (eval/report.h), which worker
@@ -146,11 +147,7 @@ int main(int argc, char** argv) {
        StringFlag("--trace-json", &trace_json),
        StringFlag("--suite", &suite),
        StringFlag("--model", &model_name),
-       IntFlag("--max-retries", 0, INT_MAX, &options.max_retries),
-       IntFlag("--backoff-ms", 0, INT_MAX, &options.backoff_initial_ms),
-       IntFlag("--backoff-max-ms", 0, INT_MAX, &options.backoff_max_ms),
-       IntFlag("--hang-timeout-ms", 0, INT_MAX, &options.hang_timeout_ms),
-       IntFlag("--poll-ms", 1, INT_MAX, &options.poll_interval_ms)});
+       IntFlag("--hang-timeout-ms", 0, INT_MAX, &options.hang_timeout_ms)});
   if (!parsed.ok()) {
     std::fprintf(stderr, "grid_shard_main: %s\n", parsed.ToString().c_str());
     return Usage(argv[0]);

@@ -79,8 +79,7 @@ def main():
 
     code = run(args.bin,
                ["--shards", "2", "--journal-dir", journal_dir,
-                "--out", sharded, "--trace-json", trace,
-                "--backoff-ms", "10"],
+                "--out", sharded, "--trace-json", trace],
                faults=KILL_FAULT)
     if code != 0:
         return fail(f"chaos run exited {code}, expected 0 "
