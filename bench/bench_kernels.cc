@@ -1,12 +1,13 @@
 // Kernel-backend benchmarks emitting machine-readable JSON for the CI
-// regression gate. Unlike the google-benchmark micro suites, this harness
-// owns its main() so it can sweep the dispatched backends (scalar vs simd)
-// and thread counts explicitly, writing one BENCH_kernels.json entry per
-// (workload, backend, threads) with ns/op and bytes/op.
+// regression gate. The harness sweeps the dispatched backends (scalar vs
+// simd) and thread counts explicitly, writing one BENCH_kernels.json entry
+// per (workload, backend, threads) with ns/op and bytes/op.
 // tools/bench_check.py compares two such files and enforces the committed
 // baseline plus the simd-vs-scalar speedup floor.
 //
 // Usage: bench_kernels [output.json]   (default: BENCH_kernels.json)
+// Any other argument list (a flag, a second path) prints the usage line and
+// exits 2 before any work.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -203,6 +204,10 @@ std::string EntriesJson(const std::vector<Entry>& entries) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 2 || (argc == 2 && (argv[1][0] == '-' || argv[1][0] == '\0'))) {
+    std::fprintf(stderr, "usage: bench_kernels [output.json]\n");
+    return 2;
+  }
   const char* out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
 
   std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};

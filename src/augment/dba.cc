@@ -74,10 +74,6 @@ core::StatusOr<std::vector<core::TimeSeries>> DbaAugmenter::DoGenerate(
   const std::vector<std::vector<int>> by_class = train.IndicesByClass();
   TSAUG_CHECK(label >= 0 && label < static_cast<int>(by_class.size()));
   const std::vector<int>& members = by_class[static_cast<size_t>(label)];
-  if (members.empty()) {
-    return core::DegenerateInputError("dba: class " + std::to_string(label) +
-                                      " has no instances");
-  }
   const int target_length = train.max_length();
 
   std::vector<core::TimeSeries> out;

@@ -10,7 +10,8 @@
 namespace tsaug::augment {
 namespace {
 
-// Rectangular flattened class members: rows of a matrix.
+// Rectangular flattened class members: rows of a matrix. The class has at
+// least one member: Augmenter::TryGenerate rejects an empty class first.
 linalg::Matrix ClassMatrix(const core::Dataset& train, int label,
                            int* channels, int* length) {
   *channels = train.num_channels();
@@ -22,7 +23,6 @@ linalg::Matrix ClassMatrix(const core::Dataset& train, int label,
     if (s.length() != *length) s = core::ResampleToLength(s, *length);
     rows.push_back(s.Flatten());
   }
-  if (rows.empty()) return linalg::Matrix();  // callers report the Status
   return linalg::Matrix::FromRowVectors(rows);
 }
 
@@ -66,10 +66,6 @@ core::StatusOr<std::vector<core::TimeSeries>> GaussianGenerator::DoGenerate(
   int channels = 0;
   int length = 0;
   const linalg::Matrix points = ClassMatrix(train, label, &channels, &length);
-  if (points.empty()) {
-    return core::DegenerateInputError("gaussian_gen: class " +
-                                      std::to_string(label) + " empty");
-  }
   std::vector<core::TimeSeries> out;
   out.reserve(static_cast<size_t>(count));
   if (points.rows() < 2) {
@@ -139,10 +135,6 @@ core::StatusOr<std::vector<core::TimeSeries>> ArGenerator::DoGenerate(
   int channels = 0;
   int length = 0;
   const linalg::Matrix points = ClassMatrix(train, label, &channels, &length);
-  if (points.empty()) {
-    return core::DegenerateInputError("ar_gen: class " +
-                                      std::to_string(label) + " empty");
-  }
   const std::vector<double> mean = points.ColMeans();  // class mean curve
 
   // Per-channel AR fit on the pooled residuals around the class mean.

@@ -95,10 +95,6 @@ core::StatusOr<std::vector<core::TimeSeries>> Smote::DoGenerate(
   }
   const FlatView view = Flatten(train, label);
   const int class_size = static_cast<int>(view.class_members.size());
-  if (class_size < 1) {
-    return core::DegenerateInputError("smote: class " + std::to_string(label) +
-                                      " has no instances");
-  }
 
   std::vector<core::TimeSeries> out;
   out.reserve(static_cast<size_t>(count));
@@ -151,11 +147,6 @@ core::StatusOr<std::vector<core::TimeSeries>> BorderlineSmote::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
   const FlatView view = Flatten(train, label);
   const int class_size = static_cast<int>(view.class_members.size());
-  if (class_size < 1) {
-    return core::DegenerateInputError("borderline_smote: class " +
-                                      std::to_string(label) +
-                                      " has no instances");
-  }
   if (class_size == 1) {
     return Smote(k_neighbors_).TryGenerate(train, label, count, rng);
   }
@@ -199,11 +190,6 @@ core::StatusOr<std::vector<core::TimeSeries>> Adasyn::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
   const FlatView view = Flatten(train, label);
   const int class_size = static_cast<int>(view.class_members.size());
-  if (class_size < 1) {
-    return core::DegenerateInputError("adasyn: class " +
-                                      std::to_string(label) +
-                                      " has no instances");
-  }
   if (class_size == 1) {
     return Smote(k_neighbors_).TryGenerate(train, label, count, rng);
   }
@@ -249,11 +235,6 @@ core::StatusOr<std::vector<core::TimeSeries>> RandomInterpolation::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
   const FlatView view = Flatten(train, label);
   const int class_size = static_cast<int>(view.class_members.size());
-  if (class_size < 1) {
-    return core::DegenerateInputError("interpolation: class " +
-                                      std::to_string(label) +
-                                      " has no instances");
-  }
   std::vector<core::TimeSeries> out;
   out.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -271,11 +252,6 @@ core::StatusOr<std::vector<core::TimeSeries>> RandomOversampling::DoGenerate(
   const std::vector<std::vector<int>> by_class = train.IndicesByClass();
   TSAUG_CHECK(label >= 0 && label < static_cast<int>(by_class.size()));
   const std::vector<int>& members = by_class[static_cast<size_t>(label)];
-  if (members.empty()) {
-    return core::DegenerateInputError("random_oversample: class " +
-                                      std::to_string(label) +
-                                      " has no instances");
-  }
   std::vector<core::TimeSeries> out;
   out.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {

@@ -46,10 +46,6 @@ RangeNoise::RangeNoise(double safety_factor) : safety_factor_(safety_factor) {
 core::StatusOr<std::vector<core::TimeSeries>> RangeNoise::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
   const FlatClass view = FlattenByClass(train, label);
-  if (view.class_points.empty()) {
-    return core::DegenerateInputError("range_noise: class " +
-                                      std::to_string(label) + " empty");
-  }
 
   std::vector<core::TimeSeries> out;
   out.reserve(static_cast<size_t>(count));
@@ -140,10 +136,6 @@ core::StatusOr<std::vector<core::TimeSeries>> Ohit::DoGenerate(
     const core::Dataset& train, int label, int count, core::Rng& rng) {
   const FlatClass view = FlattenByClass(train, label);
   const int n = static_cast<int>(view.class_points.size());
-  if (n < 1) {
-    return core::DegenerateInputError("ohit: class " + std::to_string(label) +
-                                      " empty");
-  }
   const std::vector<int> assignment = ClusterClass(train, label);
   const int num_clusters =
       1 + *std::max_element(assignment.begin(), assignment.end());

@@ -14,16 +14,16 @@ InceptionModule::InceptionModule(int in_channels,
   const int branch_in = bottleneck ? config.bottleneck_channels : in_channels;
   if (bottleneck) {
     bottleneck_ = std::make_unique<nn::Conv1dLayer>(
-        in_channels, config.bottleneck_channels, 1, rng, /*use_bias=*/false);
+        in_channels, config.bottleneck_channels, 1, rng);
   }
   for (int kernel : config.kernel_sizes) {
     branches_.push_back(std::make_unique<nn::Conv1dLayer>(
-        branch_in, config.num_filters, kernel, rng, /*use_bias=*/false));
+        branch_in, config.num_filters, kernel, rng));
   }
   // MaxPool branch operates on the raw module input, then projects to
   // num_filters with a 1x1 convolution (Fawaz et al.'s architecture).
   pool_conv_ = std::make_unique<nn::Conv1dLayer>(
-      in_channels, config.num_filters, 1, rng, /*use_bias=*/false);
+      in_channels, config.num_filters, 1, rng);
   out_channels_ =
       config.num_filters * (static_cast<int>(config.kernel_sizes.size()) + 1);
   bn_ = std::make_unique<nn::BatchNorm1d>(out_channels_);
@@ -63,7 +63,7 @@ InceptionNetwork::InceptionNetwork(int in_channels, int num_classes,
     if (d % 3 == 2) {
       Shortcut shortcut;
       shortcut.conv = std::make_unique<nn::Conv1dLayer>(
-          residual_in, channels, 1, rng, /*use_bias=*/false);
+          residual_in, channels, 1, rng);
       shortcut.bn = std::make_unique<nn::BatchNorm1d>(channels);
       shortcuts_.push_back(std::move(shortcut));
       residual_in = channels;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/kernels/kernels.h"
-#include "core/parallel.h"
 #include "core/preprocess.h"
 
 namespace tsaug::linalg {
@@ -165,24 +164,6 @@ std::vector<std::pair<int, int>> DtwPath(const core::TimeSeries& a,
   path.emplace_back(0, 0);
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-std::vector<double> PairwiseDtwDistances(
-    const std::vector<core::TimeSeries>& series, int window) {
-  const int n = static_cast<int>(series.size());
-  std::vector<double> d(static_cast<size_t>(n) * static_cast<size_t>(n), 0.0);
-  // Row i owns cells (i, j) and (j, i) for j > i; rows are disjoint, so
-  // the triangular sweep is deterministic under any chunking.
-  core::ParallelFor(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (int i = static_cast<int>(lo); i < static_cast<int>(hi); ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        const double dist = DtwDistance(series[static_cast<size_t>(i)], series[static_cast<size_t>(j)], window);
-        d[static_cast<size_t>(i) * static_cast<size_t>(n) + static_cast<size_t>(j)] = dist;
-        d[static_cast<size_t>(j) * static_cast<size_t>(n) + static_cast<size_t>(i)] = dist;
-      }
-    }
-  });
-  return d;
 }
 
 }  // namespace tsaug::linalg

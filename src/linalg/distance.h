@@ -43,13 +43,6 @@ std::vector<std::pair<int, int>> DtwPath(const core::TimeSeries& a,
                                          const core::TimeSeries& b,
                                          int window = -1);
 
-/// Full symmetric pairwise DTW distance matrix (row-major n x n, zero
-/// diagonal). Pairs are computed in parallel on the shared thread pool;
-/// each pair is independent, so the matrix is identical at any thread
-/// count. Used by DTW-based neighbour searches and the micro benches.
-std::vector<double> PairwiseDtwDistances(
-    const std::vector<core::TimeSeries>& series, int window = -1);
-
 }  // namespace tsaug::linalg
 
 #endif  // TSAUG_LINALG_DISTANCE_H_

@@ -72,25 +72,14 @@ Variable Linear::Forward(const Variable& x) const {
 }
 
 Conv1dLayer::Conv1dLayer(int in_channels, int out_channels, int kernel_size,
-                         core::Rng& rng, bool use_bias)
-    : use_bias_(use_bias) {
+                         core::Rng& rng) {
   Tensor w({out_channels, in_channels, kernel_size});
   GlorotInit(w, in_channels * kernel_size, out_channels * kernel_size, rng);
   w_ = Variable(std::move(w), /*requires_grad=*/true);
-  if (use_bias_) {
-    b_ = Variable(Tensor({out_channels}), /*requires_grad=*/true);
-  }
 }
 
 Variable Conv1dLayer::Forward(const Variable& x) const {
-  Variable out = Conv1dSame(x, w_, 1);
-  if (use_bias_) out = AddChannelBias(out, b_);
-  return out;
-}
-
-std::vector<Variable> Conv1dLayer::Parameters() const {
-  if (use_bias_) return {w_, b_};
-  return {w_};
+  return Conv1dSame(x, w_, 1);
 }
 
 namespace {

@@ -74,22 +74,20 @@ class Linear : public Module {
   Variable b_;
 };
 
-/// 1-D convolution layer with 'same' padding and dilation 1 over
+/// 1-D convolution layer with 'same' padding, dilation 1 and no bias over
 /// [n, channels, time].
 class Conv1dLayer : public Module {
  public:
   Conv1dLayer(int in_channels, int out_channels, int kernel_size,
-              core::Rng& rng, bool use_bias = true);
+              core::Rng& rng);
 
   Variable Forward(const Variable& x) const;
 
-  std::vector<Variable> Parameters() const override;
+  std::vector<Variable> Parameters() const override { return {w_}; }
   int kernel_size() const { return w_.value().dim(2); }
 
  private:
-  Variable w_;     // [out, in, k]
-  Variable b_;     // [out], undefined when bias disabled
-  bool use_bias_ = true;
+  Variable w_;  // [out, in, k]
 };
 
 /// Batch normalisation over [n, channels, time] with running statistics

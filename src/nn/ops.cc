@@ -573,32 +573,6 @@ Variable Conv1dSame(const Variable& x, const Variable& w, int dilation) {
       });
 }
 
-Variable AddChannelBias(const Variable& x, const Variable& bias) {
-  TSAUG_CHECK(x.value().ndim() == 3 && bias.value().ndim() == 1);
-  const int n = x.value().dim(0);
-  const int c = x.value().dim(1);
-  const int time = x.value().dim(2);
-  TSAUG_CHECK(bias.value().dim(0) == c);
-  Tensor out = x.value();
-  for (int i = 0; i < n; ++i) {
-    for (int ch = 0; ch < c; ++ch) {
-      for (int t = 0; t < time; ++t) out.at(i, ch, t) += bias.value()[static_cast<size_t>(ch)];
-    }
-  }
-  return Variable::FromOp(std::move(out), {x.node(), bias.node()},
-                          [n, c, time](Node& self) {
-    for (int i = 0; i < n; ++i) {
-      for (int ch = 0; ch < c; ++ch) {
-        for (int t = 0; t < time; ++t) {
-          const double g = self.grad.at(i, ch, t);
-          self.parents[0]->grad.at(i, ch, t) += g;
-          self.parents[1]->grad[static_cast<size_t>(ch)] += g;
-        }
-      }
-    }
-  });
-}
-
 Variable MaxPool1dSame(const Variable& x, int window) {
   TSAUG_CHECK(x.value().ndim() == 3 && window >= 1);
   const int n = x.value().dim(0);

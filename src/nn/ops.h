@@ -78,9 +78,6 @@ Variable StackTime(const std::vector<Variable>& steps);
 /// `dilation` spaces kernel taps (k-1)*dilation apart, as in InceptionTime.
 Variable Conv1dSame(const Variable& x, const Variable& w, int dilation = 1);
 
-/// [n,c,T] + broadcast of [c] over batch and time.
-Variable AddChannelBias(const Variable& x, const Variable& bias);
-
 /// Max pooling with 'same' padding and stride 1 over the time axis.
 Variable MaxPool1dSame(const Variable& x, int window);
 

@@ -165,6 +165,32 @@ TEST_P(AugmenterProperty, SameBitsAcrossThreadsAndBackends) {
   core::SetNumThreads(threads);
 }
 
+TEST_P(AugmenterProperty, PreflightFailuresAreTyped) {
+  // One preflight in Augmenter::TryGenerate answers for every technique:
+  // no DoGenerate sees an empty class, a label outside the label space, a
+  // negative count or an empty training set.
+  const core::Dataset train = PropertyData();
+  Augmenter& augmenter = *GetParam().augmenter;
+  auto code = [&](const core::Dataset& data, int label, int count) {
+    augmenter.Invalidate();
+    core::Rng rng(17);
+    return augmenter.TryGenerate(data, label, count, rng).status().code();
+  };
+
+  core::Dataset with_empty_class(train.num_classes() + 1);
+  for (int i = 0; i < train.size(); ++i) {
+    with_empty_class.Add(train.series(i), train.label(i));
+  }
+  EXPECT_EQ(code(with_empty_class, train.num_classes(), 3),
+            core::StatusCode::kEmptyClass);
+  EXPECT_EQ(code(train, train.num_classes(), 3),
+            core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(train, -1, 3), core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(train, 0, -1), core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(core::Dataset(train.num_classes()), 0, 3),
+            core::StatusCode::kDegenerateInput);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Taxonomy, AugmenterProperty, ::testing::ValuesIn(AllEntries()),
     [](const ::testing::TestParamInfo<NamedEntry>& param_info) {

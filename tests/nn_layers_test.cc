@@ -52,9 +52,9 @@ TEST(Conv1dLayer, OutputShapePreservesTime) {
   EXPECT_EQ(y.shape(), (std::vector<int>{2, 8, 17}));
 }
 
-TEST(Conv1dLayer, NoBiasVariant) {
+TEST(Conv1dLayer, WeightsAreTheOnlyParametersSoZeroInputGivesZero) {
   core::Rng rng(4);
-  Conv1dLayer conv(2, 4, 3, rng, /*use_bias=*/false);
+  Conv1dLayer conv(2, 4, 3, rng);
   EXPECT_EQ(conv.Parameters().size(), 1u);
   Variable x(Tensor({1, 2, 5}, 0.0));
   Variable y = conv.Forward(x);

@@ -639,15 +639,6 @@ TEST(ElementwiseOracle, BitwiseEqualToScalarFormulas) {
   core::SetNumThreads(saved_threads);
 }
 
-TEST(GradCheck, AddChannelBias) {
-  core::Rng rng(9);
-  std::vector<Tensor> leaves = {RandomTensor({2, 3, 5}, rng),
-                                RandomTensor({3}, rng)};
-  CheckGradients(leaves, [](std::vector<Variable>& v) {
-    return Mean(AddChannelBias(v[0], v[1]));
-  });
-}
-
 TEST(GradCheck, MaxPool1dSame) {
   core::Rng rng(10);
   std::vector<Tensor> leaves = {RandomTensor({2, 2, 7}, rng)};

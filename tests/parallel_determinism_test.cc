@@ -29,7 +29,6 @@
 #include "core/validate.h"
 #include "data/scenarios.h"
 #include "eval/experiment.h"
-#include "linalg/distance.h"
 #include "linalg/knn.h"
 #include "linalg/matrix.h"
 
@@ -151,26 +150,20 @@ TEST(ParallelDeterminism, InceptionTimeFitIdentical) {
   }
 }
 
-TEST(ParallelDeterminism, PairwiseDistancesIdentical) {
+TEST(ParallelDeterminism, SharedNearestNeighborSimilarityIdentical) {
   ThreadCountGuard guard;
   const data::TrainTest data = SmallData(9);
-  std::vector<core::TimeSeries> series;
   std::vector<std::vector<double>> points;
   for (int i = 0; i < data.train.size(); ++i) {
-    series.push_back(data.train.series(i));
     points.push_back(data.train.series(i).values());
   }
 
   core::SetNumThreads(1);
-  const std::vector<double> dtw_ref =
-      linalg::PairwiseDtwDistances(series, /*window=*/5);
   const std::vector<int> snn_ref =
       linalg::SharedNearestNeighborSimilarity(points, 4);
 
   for (int threads : kThreadCounts) {
     core::SetNumThreads(threads);
-    EXPECT_EQ(dtw_ref, linalg::PairwiseDtwDistances(series, 5))
-        << threads << " threads";
     EXPECT_EQ(snn_ref, linalg::SharedNearestNeighborSimilarity(points, 4))
         << threads << " threads";
   }

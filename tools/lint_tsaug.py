@@ -244,8 +244,8 @@ CHECK_BUDGET = {
     # ops.cc: +3 over the fault-tolerance freeze for the fused
     # AddRowBias{Sigmoid,Tanh} gate op's shape contracts — programmer-error
     # invariants identical in kind to the unfused AddRowBias checks; -2 with
-    # ConcatFeatures, deleted as unreached.
-    "src/nn/ops.cc": 43,
+    # ConcatFeatures and -2 with AddChannelBias, deleted as unreached.
+    "src/nn/ops.cc": 41,
     "src/nn/tensor.h": 3,
     "src/nn/trainer.cc": 8,
 }
